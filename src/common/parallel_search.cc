@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,7 +34,129 @@ class Latch {
   size_t outstanding_;
 };
 
+/// Contiguous-prefix bookkeeping and rank-tagged effect journals of one
+/// fanned-out search. Each visit runs under a fresh EffectJournal; the
+/// journals of ranks known to lie below the search's final ceiling are
+/// applied in rank order, on the thread that advances the prefix, into
+/// the journal that was current where the search started. Journals of
+/// dead ranks (at or above the ceiling) are dropped.
+class StagedRanks {
+ public:
+  StagedRanks(size_t num_chunks, size_t chunk, size_t num_ranks)
+      : parent_(EffectJournal::Current()),
+        chunk_(chunk),
+        num_ranks_(num_ranks),
+        chunk_done_(num_chunks, 0) {}
+
+  /// Runs visit() with its side effects journaled under `rank`.
+  template <typename Fn>
+  bool Visit(size_t rank, Fn&& visit) {
+    EffectJournal journal;
+    bool hit;
+    {
+      ScopedEffectJournal scope(&journal);
+      hit = visit();
+    }
+    if (!journal.empty()) {
+      std::lock_guard<std::mutex> lock(staged_mutex_);
+      staged_.emplace(rank, std::move(journal));
+    }
+    return hit;
+  }
+
+  /// Lead window: chunk `c` may start only within `max_lead` chunks of
+  /// the completed prefix. The owner of the first incomplete chunk is
+  /// always inside it, so someone always progresses. Returns false when
+  /// `give_up()` turns true while waiting (or before starting).
+  template <typename GiveUp>
+  bool AwaitLeadWindow(size_t c, size_t max_lead, GiveUp&& give_up) const {
+    for (;;) {
+      if (give_up()) return false;
+      if (max_lead == 0 ||
+          c < prefix_chunks_.load(std::memory_order_acquire) + max_lead) {
+        return true;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+
+  /// Marks chunk `c` complete. When the contiguous prefix grows,
+  /// `advance(prefix_ranks)` runs (serialized, monotone prefix_ranks) and
+  /// returns {commit_end, dead_from} for Commit.
+  template <typename Advance>
+  void CompleteChunk(size_t c, Advance&& advance) {
+    std::lock_guard<std::mutex> lock(done_mutex_);
+    chunk_done_[c] = 1;
+    size_t prefix = prefix_chunks_.load(std::memory_order_relaxed);
+    const size_t before = prefix;
+    while (prefix < chunk_done_.size() && chunk_done_[prefix]) ++prefix;
+    prefix_chunks_.store(prefix, std::memory_order_release);
+    if (prefix == before) return;
+    auto [commit_end, dead_from] =
+        advance(std::min(prefix * chunk_, num_ranks_));
+    CommitLocked(commit_end, dead_from);
+  }
+
+  /// Applies the journals of ranks below `commit_end` in rank order and
+  /// drops those at or above `dead_from`.
+  void Commit(size_t commit_end, size_t dead_from) {
+    std::lock_guard<std::mutex> lock(done_mutex_);
+    CommitLocked(commit_end, dead_from);
+  }
+
+ private:
+  void CommitLocked(size_t commit_end, size_t dead_from) {
+    std::vector<EffectJournal> ready;
+    {
+      std::lock_guard<std::mutex> lock(staged_mutex_);
+      staged_.erase(staged_.lower_bound(dead_from), staged_.end());
+      auto stop = staged_.lower_bound(commit_end);
+      for (auto it = staged_.begin(); it != stop; ++it) {
+        ready.push_back(std::move(it->second));
+      }
+      staged_.erase(staged_.begin(), stop);
+    }
+    // Outside staged_mutex_ (workers keep journaling), inside
+    // done_mutex_ (commits stay serialized and in rank order).
+    for (EffectJournal& journal : ready) journal.ApplyTo(parent_);
+  }
+
+  EffectJournal* const parent_;
+  const size_t chunk_;
+  const size_t num_ranks_;
+  std::mutex done_mutex_;
+  std::vector<char> chunk_done_;
+  std::atomic<size_t> prefix_chunks_{0};
+  std::mutex staged_mutex_;
+  std::map<size_t, EffectJournal> staged_;
+};
+
+thread_local EffectJournal* g_effect_journal = nullptr;
+
 }  // namespace
+
+EffectJournal* EffectJournal::Current() { return g_effect_journal; }
+
+void EffectJournal::ApplyTo(EffectJournal* parent) {
+  std::vector<Effect> effects = std::move(effects_);
+  effects_.clear();
+  for (Effect& effect : effects) {
+    if (parent != nullptr) {
+      parent->Record(std::move(effect));
+    } else {
+      effect();
+    }
+  }
+}
+
+ScopedEffectJournal::ScopedEffectJournal(EffectJournal* journal)
+    : previous_(g_effect_journal) {
+  g_effect_journal = journal;
+}
+
+ScopedEffectJournal::~ScopedEffectJournal() {
+  g_effect_journal = previous_;
+}
 
 size_t ParallelSearch::NumWorkers(size_t num_ranks) const {
   if (options_.pool == nullptr || options_.max_workers == 1 ||
@@ -102,10 +225,29 @@ size_t ParallelSearch::FindFirst(
     const std::function<bool(size_t, size_t)>& visit) const {
   if (num_ranks == 0) return kNotFound;
   const size_t workers = NumWorkers(num_ranks);
+  if (workers == 1) {
+    size_t found = kNotFound;
+    RunWorkers(1, [&](size_t) {
+      for (size_t r = 0; r < num_ranks; ++r) {
+        if (Cancelled()) return;
+        if (visit(r, 0)) {
+          found = r;
+          return;
+        }
+      }
+    });
+    return found;
+  }
   const size_t chunk = EffectiveChunk(num_ranks, workers);
   const size_t num_chunks = (num_ranks + chunk - 1) / chunk;
   std::atomic<size_t> next_chunk{0};
   std::atomic<size_t> best{kNotFound};
+  // Ranks above the best hit are dead; every rank up to it is committed.
+  auto bound = [&] {
+    const size_t b = best.load(std::memory_order_acquire);
+    return b == kNotFound ? num_ranks : b + 1;
+  };
+  StagedRanks staged(num_chunks, chunk, num_ranks);
 
   RunWorkers(workers, [&](size_t worker) {
     for (;;) {
@@ -115,12 +257,17 @@ size_t ParallelSearch::FindFirst(
       size_t begin = c * chunk;
       // Chunks are handed out in rank order: once one starts at or above
       // the best hit, so does every later one — this worker is done.
-      if (begin >= best.load(std::memory_order_acquire)) return;
+      if (!staged.AwaitLeadWindow(c, options_.max_lead_chunks, [&] {
+            return Cancelled() ||
+                   begin >= best.load(std::memory_order_acquire);
+          })) {
+        return;
+      }
       size_t end = std::min(begin + chunk, num_ranks);
       for (size_t r = begin; r < end; ++r) {
         if (r >= best.load(std::memory_order_acquire)) break;
         if (Cancelled()) return;
-        if (visit(r, worker)) {
+        if (staged.Visit(r, [&] { return visit(r, worker); })) {
           size_t cur = best.load(std::memory_order_relaxed);
           while (r < cur && !best.compare_exchange_weak(
                                 cur, r, std::memory_order_acq_rel)) {
@@ -128,8 +275,15 @@ size_t ParallelSearch::FindFirst(
           break;  // Later ranks in this chunk are > r: irrelevant.
         }
       }
+      // Every rank of a completed prefix below the best hit was visited
+      // and missed, so the best hit can no longer fall below the prefix.
+      staged.CompleteChunk(c, [&](size_t prefix_ranks) {
+        const size_t dead = bound();
+        return std::make_pair(std::min(prefix_ranks, dead), dead);
+      });
     }
   });
+  if (!Cancelled()) staged.Commit(bound(), bound());
   return best.load(std::memory_order_acquire);
 }
 
@@ -141,65 +295,68 @@ void ParallelSearch::ScanAll(
     return;
   }
   const size_t workers = NumWorkers(num_ranks);
+  if (workers == 1) {
+    // Report every rank, so a lowered ceiling stops the scan exactly
+    // there — the same ranks the fanned-out scan commits.
+    RunWorkers(1, [&](size_t) {
+      size_t ceiling = num_ranks;
+      size_t reported = 0;
+      for (size_t r = 0; r < ceiling; ++r) {
+        if (Cancelled()) return;
+        visit(r, 0);
+        reported = r + 1;
+        if (on_prefix) ceiling = std::min(ceiling, on_prefix(reported));
+      }
+      // Ranks at or above the ceiling are dead: the scan is complete.
+      if (on_prefix && reported < num_ranks) on_prefix(num_ranks);
+    });
+    return;
+  }
   const size_t chunk = EffectiveChunk(num_ranks, workers);
   const size_t num_chunks = (num_ranks + chunk - 1) / chunk;
   std::atomic<size_t> next_chunk{0};
   std::atomic<size_t> ceiling{num_ranks};
+  StagedRanks staged(num_chunks, chunk, num_ranks);
 
-  // Contiguous-prefix bookkeeping (a chunk "completes" once every rank in
-  // it below the ceiling has been visited; ranks above the ceiling are
-  // dead by the on_prefix contract, so skipped chunks complete too).
-  std::mutex done_mutex;
-  std::vector<char> chunk_done(num_chunks, 0);
-  size_t done_prefix = 0;
-  // Lock-free mirror of done_prefix for the lead-window check below.
-  std::atomic<size_t> prefix_chunks{0};
-
-  auto complete_chunk = [&](size_t c) {
-    std::lock_guard<std::mutex> lock(done_mutex);
-    chunk_done[c] = 1;
-    bool advanced = false;
-    while (done_prefix < num_chunks && chunk_done[done_prefix]) {
-      ++done_prefix;
-      advanced = true;
-    }
-    prefix_chunks.store(done_prefix, std::memory_order_release);
-    if (advanced && on_prefix) {
-      size_t prefix_ranks = std::min(done_prefix * chunk, num_ranks);
-      size_t cap = on_prefix(prefix_ranks);
-      if (cap != kNotFound) {
-        size_t cur = ceiling.load(std::memory_order_relaxed);
-        while (cap < cur && !ceiling.compare_exchange_weak(
-                                cur, cap, std::memory_order_acq_rel)) {
-        }
-      }
-    }
-  };
-
-  const size_t max_lead = options_.max_lead_chunks;
   RunWorkers(workers, [&](size_t worker) {
     for (;;) {
       if (Cancelled()) return;
       size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) return;
-      // Lead window: don't sprint ahead of the merge frontier. The owner
-      // of the first incomplete chunk has c == prefix_chunks, which is
-      // always inside the window — so someone always progresses.
-      while (max_lead != 0 &&
-             c >= prefix_chunks.load(std::memory_order_acquire) + max_lead) {
-        if (Cancelled()) return;
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      if (!staged.AwaitLeadWindow(c, options_.max_lead_chunks,
+                                  [&] { return Cancelled(); })) {
+        return;
       }
       size_t begin = c * chunk;
       size_t end = std::min(begin + chunk, num_ranks);
       for (size_t r = begin; r < end; ++r) {
         if (r >= ceiling.load(std::memory_order_acquire)) break;
         if (Cancelled()) return;
-        visit(r, worker);
+        staged.Visit(r, [&] {
+          visit(r, worker);
+          return false;
+        });
       }
-      complete_chunk(c);
+      // A chunk "completes" once every rank in it below the ceiling has
+      // been visited; ranks above the ceiling are dead by the on_prefix
+      // contract, so skipped chunks complete too. The merge runs first:
+      // it may lower the ceiling below the prefix, and the ranks between
+      // are then dropped rather than committed.
+      staged.CompleteChunk(c, [&](size_t prefix_ranks) {
+        size_t cap = on_prefix ? on_prefix(prefix_ranks) : kNotFound;
+        size_t cur = ceiling.load(std::memory_order_relaxed);
+        while (cap < cur && !ceiling.compare_exchange_weak(
+                                cur, cap, std::memory_order_acq_rel)) {
+        }
+        const size_t dead = ceiling.load(std::memory_order_acquire);
+        return std::make_pair(std::min(prefix_ranks, dead), dead);
+      });
     }
   });
+  if (!Cancelled()) {
+    const size_t dead = ceiling.load(std::memory_order_acquire);
+    staged.Commit(dead, dead);
+  }
 }
 
 }  // namespace gdx

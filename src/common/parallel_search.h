@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/thread_pool.h"
 
@@ -102,6 +103,46 @@ class CancellationToken {
   std::atomic<uint64_t> deadline_ns_{0};
 };
 
+/// An ordered record of side effects that speculative parallel work
+/// defers instead of applying. Shared state whose contents or counters
+/// must not depend on scheduling (the engine cache's memo traffic) checks
+/// Current() and, while a journal is installed on the calling thread,
+/// records a closure that applies the effect later. ParallelSearch and
+/// FanOutTasks give every rank / task its own journal and apply the
+/// journals in rank / task order, so the shared state evolves exactly as
+/// under a sequential run; journals of abandoned ranks are dropped.
+class EffectJournal {
+ public:
+  using Effect = std::function<void()>;
+
+  /// The journal installed on this thread (nullptr: effects apply at once).
+  static EffectJournal* Current();
+
+  void Record(Effect effect) { effects_.push_back(std::move(effect)); }
+  bool empty() const { return effects_.empty(); }
+
+  /// Hands the recorded effects on, in order, and leaves this journal
+  /// empty: appended to `parent` when non-null (the enclosing work is
+  /// itself speculative), run here otherwise.
+  void ApplyTo(EffectJournal* parent);
+
+ private:
+  std::vector<Effect> effects_;
+};
+
+/// RAII installer of the calling thread's journal (restores the previous
+/// one on destruction, so journals nest).
+class ScopedEffectJournal {
+ public:
+  explicit ScopedEffectJournal(EffectJournal* journal);
+  ~ScopedEffectJournal();
+  ScopedEffectJournal(const ScopedEffectJournal&) = delete;
+  ScopedEffectJournal& operator=(const ScopedEffectJournal&) = delete;
+
+ private:
+  EffectJournal* previous_;
+};
+
 /// Tuning of one ParallelSearch instance. All fields are borrowed; the
 /// caller keeps pool/cancel alive for the duration of the search calls.
 struct ParallelSearchOptions {
@@ -116,13 +157,14 @@ struct ParallelSearchOptions {
   /// Ranks per work unit. The effective chunk shrinks for small spaces so
   /// every worker gets several units (load balance on skewed costs).
   size_t chunk_size = 64;
-  /// ScanAll only: how far (in chunks) a worker may run ahead of the
-  /// contiguous completed prefix. Bounds the backlog of visited-but-
-  /// unmerged ranks when one slow chunk stalls the prefix — otherwise a
-  /// solution-dense scan could buffer results for the whole space before
-  /// the on_prefix cap kicks in. Workers past the window briefly sleep
-  /// until the prefix catches up; the chunk owner advancing the prefix is
-  /// never past it, so the window cannot deadlock. 0 = unbounded.
+  /// How far (in chunks) a worker may run ahead of the contiguous
+  /// completed prefix. Bounds the backlog of visited-but-unmerged ranks
+  /// (and their unapplied effect journals) when one slow chunk stalls the
+  /// prefix — otherwise a solution-dense scan could buffer results for
+  /// the whole space before the on_prefix cap kicks in. Workers past the
+  /// window briefly sleep until the prefix catches up; the chunk owner
+  /// advancing the prefix is never past it, so the window cannot
+  /// deadlock. 0 = unbounded.
   size_t max_lead_chunks = 64;
   /// Spaces smaller than this are scanned on the caller thread only — the
   /// fan-out overhead would dominate.
@@ -154,6 +196,17 @@ struct ParallelSearchOptions {
 /// result and are abandoned, ranks below it are always fully visited. That
 /// invariant is what makes the outcome identical for any worker count,
 /// including 1.
+///
+/// Side effects follow the same invariant. With more than one worker each
+/// visit runs under its own EffectJournal; journals are applied in rank
+/// order as the contiguous completed prefix grows, and only for ranks
+/// below the decided ceiling — [0, winner] for FindFirst (every rank when
+/// nothing is found), [0, ceiling) for ScanAll. Abandoned ranks leave no
+/// side effects, so journaled shared state (cache contents, LRU order and
+/// hit/miss counters) is that of a sequential visit of exactly those
+/// ranks, at any worker count. The one-worker path visits exactly those
+/// ranks and applies effects directly. A cancelled search drops the
+/// journals it has not applied yet.
 class ParallelSearch {
  public:
   static constexpr size_t kNotFound = ~static_cast<size_t>(0);
@@ -166,7 +219,8 @@ class ParallelSearch {
   /// kNotFound). Exactly the sequential first-hit: a worker that finds a
   /// hit lowers the ceiling to its rank; workers scanning lower ranks run
   /// on until they pass it. `visit` runs concurrently and must be
-  /// thread-safe; `worker` ∈ [0, NumWorkers(num_ranks)).
+  /// thread-safe; `worker` ∈ [0, NumWorkers(num_ranks)). A sequential scan
+  /// visits exactly [0, result].
   size_t FindFirst(
       size_t num_ranks,
       const std::function<bool(size_t rank, size_t worker)>& visit) const;
@@ -176,9 +230,10 @@ class ParallelSearch {
   /// prefix of fully-visited ranks grows, on_prefix(prefix_ranks) is
   /// invoked (serialized, monotone prefix_ranks, final call sees
   /// num_ranks); it may return a new, lower ceiling — ranks >= it are
-  /// abandoned — or kNotFound to keep the current one. This is the seam
-  /// solution enumeration uses to dedup + cap in rank order while the scan
-  /// is still running.
+  /// abandoned — or kNotFound to keep the current one. A sequential scan
+  /// reports every rank, so it stops exactly at the ceiling. This is the
+  /// seam solution enumeration uses to dedup + cap in rank order while the
+  /// scan is still running.
   void ScanAll(
       size_t num_ranks,
       const std::function<void(size_t rank, size_t worker)>& visit,

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
+#include <vector>
 
 #include "common/parallel_search.h"
 #include "common/thread_pool.h"
@@ -60,7 +61,10 @@ struct TaskFanoutOptions {
 /// participates (progress without pool slots, and deadlock-freedom when
 /// called *from* a pool worker); blocks until every pulled task ran.
 /// Tasks write disjoint state, so pull order is free — determinism comes
-/// from the sequential folds that consume the task outputs.
+/// from the sequential folds that consume the task outputs. Side effects
+/// journaled through EffectJournal (the engine cache's memo traffic) are
+/// recorded per task when the fan-out spans threads and applied in task
+/// order once every task ran, so they too are those of a sequential run.
 inline void FanOutTasks(
     const TaskFanoutOptions& options, size_t num_tasks,
     const std::function<void(size_t task, size_t worker)>& task) {
@@ -85,6 +89,7 @@ inline void FanOutTasks(
     workers = std::min(cap, num_tasks);
   }
   std::atomic<size_t> cursor{0};
+  std::vector<EffectJournal> journals;  // one per task when fanned out
   auto pull = [&](size_t worker) {
     for (;;) {
       if (options.cancel != nullptr && options.cancel->stop_requested()) {
@@ -92,7 +97,12 @@ inline void FanOutTasks(
       }
       const size_t t = cursor.fetch_add(1, std::memory_order_relaxed);
       if (t >= num_tasks) return;
-      task(t, worker);
+      if (journals.empty()) {
+        task(t, worker);
+      } else {
+        ScopedEffectJournal scope(&journals[t]);
+        task(t, worker);
+      }
     }
   };
   auto run = [&](size_t worker) {
@@ -106,6 +116,8 @@ inline void FanOutTasks(
     run(0);
     return;
   }
+  EffectJournal* const parent = EffectJournal::Current();
+  journals.resize(num_tasks);
   TaskLatch latch(workers - 1);
   for (size_t w = 1; w < workers; ++w) {
     options.pool->Submit([&run, &latch, w] {
@@ -120,6 +132,7 @@ inline void FanOutTasks(
     run(0);
   }
   latch.Wait();
+  for (EffectJournal& journal : journals) journal.ApplyTo(parent);
 }
 
 }  // namespace gdx

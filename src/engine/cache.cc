@@ -212,48 +212,61 @@ CompiledNrePtr EngineCache::GetOrCompile(const NrePtr& nre) {
   // Each call counts as exactly one hit or one miss, decided by whether
   // the caller was served from the memo — so hits + misses always equals
   // the number of GetOrCompile calls, like the other memos.
-  auto count_hit = [](Shard& shard, bool restored) {
-    ++shard.stats.compile_hits;  // shard mutex held
-    if (restored) ++shard.stats.compile_restored_hits;
-    if (g_solve_sink != nullptr) {
-      g_solve_sink->compile_hits.fetch_add(1, std::memory_order_relaxed);
-      if (restored) {
-        g_solve_sink->compile_restored_hits.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    }
-  };
   std::string key = NreRawSignature(*nre);
-  Shard& shard = ShardFor(key);
-  {
+  PerSolveCacheStats* sink = g_solve_sink;
+  EffectJournal* journal = EffectJournal::Current();
+  CompiledNrePtr compiled;
+  if (journal == nullptr) {
+    compiled = ApplyCompileAccess(key, nullptr, sink);
+    if (compiled != nullptr) return compiled;
+  } else {
+    // Staged: read the memo without counting or touching it.
+    Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.compiled_memo.find(key);
-    if (it != shard.compiled_memo.end()) {
-      count_hit(shard, it->second.restored);
-      TouchCompiled(shard, it->second);
-      return it->second.compiled;
-    }
+    if (it != shard.compiled_memo.end()) compiled = it->second.compiled;
   }
-  // Compile outside the lock: lowering is pure and may recurse into nested
-  // tests; holding the mutex would serialize every worker behind it.
-  CompiledNrePtr compiled;
-  {
+  if (compiled == nullptr) {
+    // Compile outside the lock: lowering is pure and may recurse into
+    // nested tests; holding the mutex would serialize every worker.
     GDX_TRACE_SPAN("cache.compile_nre", "cache");
     compiled = CompiledNre::Compile(nre);
   }
+  if (journal != nullptr) {
+    // The access is counted (and a miss published) when the journal is
+    // applied, against the memo as it is then.
+    journal->Record([this, key = std::move(key), compiled, sink] {
+      ApplyCompileAccess(key, compiled, sink);
+    });
+    return compiled;
+  }
+  return ApplyCompileAccess(std::move(key), compiled, sink);
+}
+
+CompiledNrePtr EngineCache::ApplyCompileAccess(std::string key,
+                                               CompiledNrePtr compiled,
+                                               PerSolveCacheStats* sink) {
+  Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.compiled_memo.find(key);
   if (it != shard.compiled_memo.end()) {
-    // A racing worker published first; keep its plan (entries are
-    // interchangeable — compilation is deterministic) and count the call
-    // as the memo serving it.
-    count_hit(shard, it->second.restored);
+    // Served from the memo — also when a racing caller published first
+    // (entries are interchangeable: compilation is deterministic).
+    ++shard.stats.compile_hits;
+    if (it->second.restored) ++shard.stats.compile_restored_hits;
+    if (sink != nullptr) {
+      sink->compile_hits.fetch_add(1, std::memory_order_relaxed);
+      if (it->second.restored) {
+        sink->compile_restored_hits.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
     TouchCompiled(shard, it->second);
     return it->second.compiled;
   }
+  if (compiled == nullptr) return nullptr;  // lookup only: nothing counted
   ++shard.stats.compile_misses;
-  if (g_solve_sink != nullptr) {
-    g_solve_sink->compile_misses.fetch_add(1, std::memory_order_relaxed);
+  if (sink != nullptr) {
+    sink->compile_misses.fetch_add(1, std::memory_order_relaxed);
   }
   shard.compiled_lru.push_front(key);
   shard.compiled_memo.emplace(
@@ -262,34 +275,43 @@ CompiledNrePtr EngineCache::GetOrCompile(const NrePtr& nre) {
   return compiled;
 }
 
-bool EngineCache::LookupNre(const std::string& key, BinaryRelation* out) {
+bool EngineCache::ApplyNreAccess(const std::string& key, BinaryRelation* out,
+                                 PerSolveCacheStats* sink) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.nre_memo.find(key);
   if (it == shard.nre_memo.end()) {
     ++shard.stats.nre_misses;
-    if (g_solve_sink != nullptr) {
-      g_solve_sink->nre_misses.fetch_add(1, std::memory_order_relaxed);
+    if (sink != nullptr) {
+      sink->nre_misses.fetch_add(1, std::memory_order_relaxed);
     }
     return false;
   }
   ++shard.stats.nre_hits;
   if (it->second.restored) ++shard.stats.nre_restored_hits;
-  if (g_solve_sink != nullptr) {
-    g_solve_sink->nre_hits.fetch_add(1, std::memory_order_relaxed);
+  if (sink != nullptr) {
+    sink->nre_hits.fetch_add(1, std::memory_order_relaxed);
     if (it->second.restored) {
-      g_solve_sink->nre_restored_hits.fetch_add(1,
-                                                std::memory_order_relaxed);
+      sink->nre_restored_hits.fetch_add(1, std::memory_order_relaxed);
     }
   }
   TouchNre(shard, it->second);
+  if (out != nullptr) *out = it->second.relation;
+  return true;
+}
+
+bool EngineCache::PeekNre(const std::string& key, BinaryRelation* out) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  auto it = shard.nre_memo.find(key);
+  if (it == shard.nre_memo.end()) return false;
   *out = it->second.relation;
   return true;
 }
 
-void EngineCache::StoreNre(std::string key, BinaryRelation relation) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
+void EngineCache::InsertNre(Shard& shard, std::string key,
+                            BinaryRelation relation) {
+  // Called with the shard's mutex held.
   auto it = shard.nre_memo.find(key);
   if (it != shard.nre_memo.end()) {
     TouchNre(shard, it->second);
@@ -300,6 +322,56 @@ void EngineCache::StoreNre(std::string key, BinaryRelation relation) {
                          NreEntry{std::move(relation),
                                   shard.nre_lru.begin()});
   EvictOverCap(shard);
+}
+
+bool EngineCache::LookupNre(const std::string& key, BinaryRelation* out) {
+  return ApplyNreAccess(key, out, g_solve_sink);
+}
+
+void EngineCache::StoreNre(std::string key, BinaryRelation relation) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  InsertNre(shard, std::move(key), std::move(relation));
+}
+
+BinaryRelation EngineCache::GetOrEvalNre(
+    std::string key, const std::function<BinaryRelation()>& eval) {
+  // A relation evaluated after the solve's token fired may be truncated
+  // (the batched BFS stops mid-way): it is returned, never memoized.
+  const CancellationToken* cancel = ScopedEvalCancellation::Current();
+  auto stopped = [cancel] {
+    return cancel != nullptr && cancel->stop_requested();
+  };
+  PerSolveCacheStats* sink = g_solve_sink;
+  BinaryRelation relation;
+  EffectJournal* journal = EffectJournal::Current();
+  if (journal == nullptr) {
+    if (ApplyNreAccess(key, &relation, sink)) return relation;
+    relation = eval();
+    if (!stopped()) StoreNre(std::move(key), relation);
+    return relation;
+  }
+  // Staged: read the memo without counting or touching it. The journal
+  // replays the sequential access against the memo as it is when the
+  // journal is applied: a hit, or a miss followed by the evaluation's own
+  // effects (its compile-memo traffic, journaled separately here) and the
+  // publish. A peek that misses only because an earlier, still staged
+  // access of this rank stored the key thus replays as the hit it is.
+  EffectJournal evaluation;
+  if (!PeekNre(key, &relation)) {
+    ScopedEffectJournal scope(&evaluation);
+    relation = eval();
+    if (stopped()) return relation;
+  }
+  journal->Record([this, key = std::move(key), relation,
+                   evaluation = std::move(evaluation), sink]() mutable {
+    if (ApplyNreAccess(key, nullptr, sink)) return;
+    evaluation.ApplyTo(nullptr);
+    Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    InsertNre(shard, std::move(key), std::move(relation));
+  });
+  return relation;
 }
 
 bool EngineCache::LookupAnswers(const std::string& key, const Graph& g,
@@ -535,34 +607,23 @@ void EngineCache::Clear() {
 BinaryRelation CachingNreEvaluator::Eval(const NrePtr& nre,
                                          const Graph& g) const {
   GDX_TRACE_SPAN("cache.nre_eval", "cache");
-  std::string key = EngineCache::NreKey(nre, g);
-  BinaryRelation relation;
-  if (cache_->LookupNre(key, &relation)) return relation;
-  relation = base_->Eval(nre, g);
-  cache_->StoreNre(std::move(key), relation);
-  return relation;
+  return cache_->GetOrEvalNre(EngineCache::NreKey(nre, g),
+                              [&] { return base_->Eval(nre, g); });
 }
 
 BinaryRelation CachingNreEvaluator::EvalOnView(const NrePtr& nre,
                                                const GraphView& view) const {
   GDX_TRACE_SPAN("cache.nre_eval", "cache");
-  std::string key = EngineCache::NreKey(nre, view.graph());
-  BinaryRelation relation;
-  if (cache_->LookupNre(key, &relation)) return relation;
-  relation = base_->EvalOnView(nre, view);
-  cache_->StoreNre(std::move(key), relation);
-  return relation;
+  return cache_->GetOrEvalNre(EngineCache::NreKey(nre, view.graph()),
+                              [&] { return base_->EvalOnView(nre, view); });
 }
 
 BinaryRelation CachingNreEvaluator::EvalDeferred(
     const NrePtr& nre, const Graph& g,
     const std::function<const GraphView&()>& view) const {
-  std::string key = EngineCache::NreKey(nre, g);
-  BinaryRelation relation;
-  if (cache_->LookupNre(key, &relation)) return relation;
-  relation = base_->EvalDeferred(nre, g, view);
-  cache_->StoreNre(std::move(key), relation);
-  return relation;
+  return cache_->GetOrEvalNre(EngineCache::NreKey(nre, g), [&] {
+    return base_->EvalDeferred(nre, g, view);
+  });
 }
 
 }  // namespace gdx

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <list>
 #include <mutex>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "chase/chase_compiler.h"
+#include "common/parallel_search.h"
 #include "common/status.h"
 #include "graph/cnre.h"
 #include "graph/nre_compile.h"
@@ -229,6 +231,15 @@ class ScopedCacheAttribution {
 /// thread-local PerSolveCacheStats sink (ScopedCacheAttribution) and is
 /// exact regardless of shard count.
 ///
+/// Staged traffic: while an EffectJournal is installed on the calling
+/// thread (a fanned-out ParallelSearch rank or FanOutTasks task), NRE- and
+/// compile-memo accesses read the memo without counting or touching it
+/// and record the access in the journal. Applying the journal counts each
+/// recorded lookup as a hit or a miss against the memo as it is then, and
+/// publishes on a miss — so contents, LRU order and counters equal a
+/// sequential run's, whatever the worker count. The answer and chased
+/// memos are touched only outside fan-outs and are not staged.
+///
 /// Invalidation: keys are pure functions of evaluation inputs — raw NRE
 /// structure and raw graph content — so entries never go stale and there
 /// is no invalidation protocol. Entries only leave via LRU eviction at
@@ -258,8 +269,17 @@ class EngineCache : public CompiledNreCache {
   static std::string NreKey(const NrePtr& nre, const Graph& g);
 
   /// Looks up ⟦r⟧_g by key; returns true and fills `*out` on a hit.
+  /// Both apply at once, journal or not (see GetOrEvalNre).
   bool LookupNre(const std::string& key, BinaryRelation* out);
   void StoreNre(std::string key, BinaryRelation relation);
+
+  /// ⟦r⟧_g by key: a hit is served from the memo, a miss runs `eval` and
+  /// publishes its result — unless the calling thread's evaluation token
+  /// (ScopedEvalCancellation) fired, since the relation may then be
+  /// truncated. This is the access CachingNreEvaluator makes, and the
+  /// one NRE-memo access that is staged under an EffectJournal.
+  BinaryRelation GetOrEvalNre(std::string key,
+                              const std::function<BinaryRelation()>& eval);
 
   /// The answer-memo key for `query` over solution graph `g` (raw query
   /// structure + null-blind graph shape; no names, no universe identity).
@@ -388,6 +408,20 @@ class EngineCache : public CompiledNreCache {
   static void TouchChased(Shard& shard, ChasedEntry& entry);
   /// Called with the shard's mutex held.
   static void EvictOverCap(Shard& shard);
+  static void InsertNre(Shard& shard, std::string key,
+                        BinaryRelation relation);
+
+  /// One counted NRE-memo lookup on behalf of `sink`: a hit touches the
+  /// LRU and fills `*out` (when non-null).
+  bool ApplyNreAccess(const std::string& key, BinaryRelation* out,
+                      PerSolveCacheStats* sink);
+  /// Uncounted read that leaves the LRU order alone (staged accesses).
+  bool PeekNre(const std::string& key, BinaryRelation* out);
+  /// One counted compile-memo access: a hit returns the memoized plan; a
+  /// miss publishes `compiled`, or — when it is null — counts nothing and
+  /// returns null (a lookup that the caller follows with a compile).
+  CompiledNrePtr ApplyCompileAccess(std::string key, CompiledNrePtr compiled,
+                                    PerSolveCacheStats* sink);
 
   EngineCacheOptions options_;
   /// Fixed at construction (mutexes make Shard immovable, hence the

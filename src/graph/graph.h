@@ -1,6 +1,8 @@
 #ifndef GDX_GRAPH_GRAPH_H_
 #define GDX_GRAPH_GRAPH_H_
 
+#include <atomic>
+#include <mutex>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -147,10 +149,62 @@ class Graph {
   std::unordered_map<SymbolId, std::vector<std::pair<Value, Value>>>
       label_index_;
 
-  mutable bool content_hash_valid_ = false;
-  mutable std::pair<uint64_t, uint64_t> content_hash_{0, 0};
-  mutable bool raw_signature_valid_ = false;
-  mutable std::string raw_signature_;
+  /// A derived value filled on first use by const readers. Readers on
+  /// several threads may share one graph (the parallel egd repair and the
+  /// delta chase fan out over a frozen graph), so the fill is published
+  /// under a lock and read through an acquire flag. Mutators reset it;
+  /// they already require exclusive access.
+  template <typename T>
+  class LazyMemo {
+   public:
+    LazyMemo() = default;
+    LazyMemo(const LazyMemo& other) { *this = other; }
+    LazyMemo(LazyMemo&& other) noexcept { *this = std::move(other); }
+    LazyMemo& operator=(LazyMemo&& other) noexcept {
+      if (this != &other) {
+        const bool ready = other.ready_.load(std::memory_order_acquire);
+        if (ready) value_ = std::move(other.value_);
+        ready_.store(ready, std::memory_order_relaxed);
+        other.ready_.store(false, std::memory_order_relaxed);
+      }
+      return *this;
+    }
+    LazyMemo& operator=(const LazyMemo& other) {
+      if (this != &other) {
+        const bool ready = other.ready_.load(std::memory_order_acquire);
+        if (ready) value_ = other.value_;
+        ready_.store(ready, std::memory_order_relaxed);
+      }
+      return *this;
+    }
+    template <typename Fill>
+    const T& Get(Fill&& fill) const {
+      if (ready_.load(std::memory_order_acquire)) return value_;
+      T filled = fill();  // outside the lock: fills may nest
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!ready_.load(std::memory_order_relaxed)) {
+        value_ = std::move(filled);
+        ready_.store(true, std::memory_order_release);
+      }
+      return value_;
+    }
+    void Reset() { ready_.store(false, std::memory_order_relaxed); }
+
+   private:
+    mutable std::mutex mutex_;
+    mutable std::atomic<bool> ready_{false};
+    mutable T value_{};
+  };
+
+  std::pair<uint64_t, uint64_t> ComputeContentHash() const;
+  std::string ComputeRawSignature() const;
+  void ResetMemos() {
+    content_hash_.Reset();
+    raw_signature_.Reset();
+  }
+
+  LazyMemo<std::pair<uint64_t, uint64_t>> content_hash_;
+  LazyMemo<std::string> raw_signature_;
 };
 
 }  // namespace gdx

@@ -258,5 +258,103 @@ TEST(ParallelSearchTest, SmallSpacesStayOnCallerThread) {
   EXPECT_TRUE(workers.count(0));
 }
 
+/// Journals `rank` when a journal is installed, applies it directly
+/// otherwise — the shape of the engine cache's staged memo traffic.
+void RecordEffect(std::vector<size_t>* applied, size_t rank) {
+  auto effect = [applied, rank] { applied->push_back(rank); };
+  if (EffectJournal* journal = EffectJournal::Current()) {
+    journal->Record(effect);
+  } else {
+    effect();
+  }
+}
+
+std::vector<size_t> Iota(size_t n) {
+  std::vector<size_t> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = i;
+  return out;
+}
+
+TEST(ParallelSearchTest, FindFirstAppliesEffectsOfExactlyRanksUpToWinner) {
+  ThreadPool pool(4);
+  for (size_t workers : {1u, 2u, 5u}) {
+    ParallelSearch search(PooledOptions(&pool, workers));
+    std::vector<size_t> applied;  // effects run serialized, in rank order
+    size_t winner = search.FindFirst(5000, [&](size_t rank, size_t) {
+      RecordEffect(&applied, rank);
+      return rank == 3001 || rank == 4000;
+    });
+    EXPECT_EQ(winner, 3001u);
+    EXPECT_EQ(applied, Iota(3002)) << workers << " workers";
+  }
+}
+
+TEST(ParallelSearchTest, FindFirstWithoutHitAppliesEveryRank) {
+  ThreadPool pool(3);
+  ParallelSearch search(PooledOptions(&pool, 4));
+  std::vector<size_t> applied;
+  EXPECT_EQ(search.FindFirst(777,
+                             [&](size_t rank, size_t) {
+                               RecordEffect(&applied, rank);
+                               return false;
+                             }),
+            ParallelSearch::kNotFound);
+  EXPECT_EQ(applied, Iota(777));
+}
+
+TEST(ParallelSearchTest, ScanAllAppliesEffectsOfExactlyRanksBelowCeiling) {
+  // The cap lands mid-chunk: ranks of the capping chunk above it were
+  // visited by the fanned-out scan, but their effects must be dropped.
+  ThreadPool pool(4);
+  for (size_t workers : {1u, 2u, 5u}) {
+    ParallelSearch search(PooledOptions(&pool, workers));
+    std::vector<size_t> applied;
+    std::vector<size_t> visited_sequential;
+    search.ScanAll(
+        4000,
+        [&](size_t rank, size_t) {
+          RecordEffect(&applied, rank);
+          if (workers == 1) visited_sequential.push_back(rank);
+        },
+        [&](size_t prefix) -> size_t {
+          return prefix > 1234 ? 1235 : ParallelSearch::kNotFound;
+        });
+    EXPECT_EQ(applied, Iota(1235)) << workers << " workers";
+    if (workers == 1) {
+      EXPECT_EQ(visited_sequential, Iota(1235));
+    }
+  }
+}
+
+TEST(ParallelSearchTest, NestedSearchCommitsIntoEnclosingJournal) {
+  // A fanned-out search started under a journal hands its committed
+  // effects to that journal instead of applying them.
+  ThreadPool pool(3);
+  ParallelSearch search(PooledOptions(&pool, 4));
+  std::vector<size_t> applied;
+  EffectJournal outer;
+  {
+    ScopedEffectJournal scope(&outer);
+    search.FindFirst(300, [&](size_t rank, size_t) {
+      RecordEffect(&applied, rank);
+      return rank == 200;
+    });
+  }
+  EXPECT_TRUE(applied.empty());
+  outer.ApplyTo(nullptr);
+  EXPECT_EQ(applied, Iota(201));
+}
+
+TEST(ParallelSearchTest, FanOutTasksAppliesEffectsInTaskOrder) {
+  ThreadPool pool(3);
+  TaskFanoutOptions fan;
+  fan.pool = &pool;
+  fan.max_workers = 4;
+  std::vector<size_t> applied;
+  FanOutTasks(fan, 64,
+              [&](size_t task, size_t) { RecordEffect(&applied, task); });
+  EXPECT_EQ(applied, Iota(64));
+}
+
 }  // namespace
 }  // namespace gdx
