@@ -23,9 +23,9 @@ void PrintRepro() {
       ChaseToPattern(*s.instance, s.setting.st_tgds, *s.universe);
   GraphPattern b = a;
   EgdChaseResult ra = ChasePatternEgds(a, s.setting.egds, eval,
-                                       EgdChasePolicy::kDeferredRounds);
+                                       {EgdChasePolicy::kDeferredRounds});
   EgdChaseResult rb = ChasePatternEgds(b, s.setting.egds, eval,
-                                       EgdChasePolicy::kEagerRestart);
+                                       {EgdChasePolicy::kEagerRestart});
   std::printf("egd chase policies on Example 2.2: deferred %zu merges / "
               "%zu rounds, eager %zu merges / %zu rounds, same fixpoint: "
               "%s\n",
@@ -61,8 +61,8 @@ void BM_EgdChasePolicy(benchmark::State& state) {
     state.ResumeTiming();
     EgdChaseResult result = ChasePatternEgds(
         pi, s.setting.egds, eval,
-        eager ? EgdChasePolicy::kEagerRestart
-              : EgdChasePolicy::kDeferredRounds);
+        {eager ? EgdChasePolicy::kEagerRestart
+               : EgdChasePolicy::kDeferredRounds});
     benchmark::DoNotOptimize(result);
   }
 }

@@ -1,18 +1,14 @@
-// ISSUE 10 tentpole part 1: component-parallel egd repair at hardware
-// scale. The workload is a random bipartite "alias" graph — n labeled
-// nulls each pointing via h to a random hub constant, plus random
-// null-to-null noise edges — so the functional egd
-// (x1, h, x3), (x2, h, x3) -> x1 = x2 induces one independent merge
-// component per hub: exactly the fan-out shape the parallel policy
-// exploits, with a million-node point for the scaling story. Sequential
-// kDeferredRounds is the byte-identical baseline; both enter the
-// bench_diff.py-gated artifact so a regression in either is visible
+// Egd repair at hardware scale. The workload is a random bipartite
+// "alias" graph — n labeled nulls each pointing via h to a random hub
+// constant, plus random null-to-null noise edges — so the functional egd
+// (x1, h, x3), (x2, h, x3) -> x1 = x2 merges every hub's nulls in one
+// round, with a million-node point for the scaling story. The 16k point
+// enters the bench_diff.py-gated artifact so a regression is visible
 // run-over-run in CI.
 #include "bench_util.h"
 
 #include "chase/egd_chase.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "exchange/parser.h"
 
 namespace gdx {
@@ -48,8 +44,7 @@ Graph MakeAliasGraph(size_t n, Universe& universe, Alphabet& alphabet,
   return g;
 }
 
-void RunRepairBench(benchmark::State& state, EgdChasePolicy policy,
-                    size_t workers) {
+void BM_EgdRepairSequential(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Universe universe;
   Alphabet alphabet;
@@ -61,39 +56,20 @@ void RunRepairBench(benchmark::State& state, EgdChasePolicy policy,
   }
   std::vector<TargetEgd> egds;
   egds.push_back(std::move(*egd));
-  ThreadPool pool(workers > 1 ? workers - 1 : 0);
-  EgdChaseOptions options;
-  options.policy = policy;
-  options.pool = workers > 1 ? &pool : nullptr;
-  options.max_workers = workers;
 
   EgdChaseResult result;
   for (auto _ : state) {
     state.PauseTiming();
     Graph g = base;  // the chase rewrites in place
     state.ResumeTiming();
-    result = ChaseGraphEgds(g, egds, eval, options);
+    result = ChaseGraphEgds(g, egds, eval);
     benchmark::DoNotOptimize(g);
   }
   state.counters["merges"] = static_cast<double>(result.merges);
   state.counters["rounds"] = static_cast<double>(result.rounds);
-  state.counters["components"] = static_cast<double>(result.components);
-}
-
-void BM_EgdRepairSequential(benchmark::State& state) {
-  RunRepairBench(state, EgdChasePolicy::kDeferredRounds, 1);
-}
-void BM_EgdRepairParallel(benchmark::State& state) {
-  RunRepairBench(state, EgdChasePolicy::kParallelComponents,
-                 static_cast<size_t>(state.range(1)));
 }
 BENCHMARK(BM_EgdRepairSequential)
     ->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EgdRepairParallel)
-    ->Args({1 << 14, 1})->Args({1 << 14, 4})
-    ->Args({1 << 17, 4})
-    ->Args({1 << 20, 4})
     ->Unit(benchmark::kMillisecond);
 
 void PrintRepro() {
@@ -103,13 +79,10 @@ void PrintRepro() {
   Result<TargetEgd> egd = ParseTargetEgd(kFunctionalEgd, alphabet, universe);
   std::vector<TargetEgd> egds;
   egds.push_back(std::move(*egd));
-  EgdChaseOptions options;
-  options.policy = EgdChasePolicy::kParallelComponents;
-  EgdChaseResult result = ChaseGraphEgds(g, egds, eval, options);
-  std::printf("alias graph 1024 nulls: %zu merges, %zu components, "
-              "%zu rounds, failed=%s\n",
-              result.merges, result.components, result.rounds,
-              result.failed ? "yes" : "no");
+  EgdChaseResult result = ChaseGraphEgds(g, egds, eval);
+  std::printf("alias graph 1024 nulls: %zu merges, %zu rounds, "
+              "failed=%s\n",
+              result.merges, result.rounds, result.failed ? "yes" : "no");
 }
 
 }  // namespace

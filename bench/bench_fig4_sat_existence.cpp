@@ -4,7 +4,7 @@
 // the number of variables while the DPLL-backed exact solver prunes.
 #include "bench_util.h"
 
-#include "engine/thread_pool.h"
+#include "common/thread_pool.h"
 #include "exchange/solution_check.h"
 #include "reduction/sat_encoding.h"
 #include "sat/dpll.h"

@@ -16,14 +16,12 @@
 //           [--threads=N] [--repeat=K]    through the BatchExecutor and
 //           [--intra-threads=N]           print the Metrics summary;
 //           [--chase=delta|naive]         --intra-threads fans each solve's
-//           [--egd-repair=parallel        witness search over N workers;
-//                 |deferred|eager]        --chase picks the chase algorithm
-//           [--nre-multi-source=batched   (semi-naive delta vs the legacy
-//                 |per-source]            reference); --egd-repair and
-//           [--cache-load=FILE]           --nre-multi-source pick the egd
-//           [--cache-save=FILE]           repair policy and the multi-
-//           [--report-out=FILE]           source NRE strategy — every
-//           [--trace-out=FILE]            combination is byte-identical
+//           [--nre-multi-source=batched   witness search over N workers;
+//                 |per-source]            --chase picks the chase algorithm
+//           [--cache-load=FILE]           (semi-naive delta vs the legacy
+//           [--cache-save=FILE]           reference), --nre-multi-source
+//           [--report-out=FILE]           the multi-source NRE strategy;
+//           [--trace-out=FILE]            both pairs are byte-identical
 //           [--metrics-json=FILE]         (see CI's chase-diff job);
 //                                         --cache-load/--cache-save restore/
 //                                         persist the engine cache snapshot
@@ -186,28 +184,11 @@ int RunBatch(int argc, char** argv) {
       // differential and for benchmarking the legacy path.
       const char* mode = arg + 8;
       if (std::strcmp(mode, "delta") == 0) {
-        options.engine.chase_policy = ChasePolicy::kDelta;
+        options.engine.chase_policy = ChaseAlgorithm::kDelta;
       } else if (std::strcmp(mode, "naive") == 0) {
-        options.engine.chase_policy = ChasePolicy::kNaive;
+        options.engine.chase_policy = ChaseAlgorithm::kNaive;
       } else {
         std::fprintf(stderr, "--chase must be 'delta' or 'naive'\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--egd-repair=", 13) == 0) {
-      // All three repair policies are byte-identical (ISSUE 10: CI's
-      // chase-diff job cmp's a parallel vs deferred report); the flag
-      // exists for that differential and the repair ablation bench.
-      const char* mode = arg + 13;
-      if (std::strcmp(mode, "parallel") == 0) {
-        options.engine.egd_policy = EgdChasePolicy::kParallelComponents;
-      } else if (std::strcmp(mode, "deferred") == 0) {
-        options.engine.egd_policy = EgdChasePolicy::kDeferredRounds;
-      } else if (std::strcmp(mode, "eager") == 0) {
-        options.engine.egd_policy = EgdChasePolicy::kEagerRestart;
-      } else {
-        std::fprintf(stderr,
-                     "--egd-repair must be 'parallel', 'deferred' or "
-                     "'eager'\n");
         return 2;
       }
     } else if (std::strncmp(arg, "--nre-multi-source=", 19) == 0) {
@@ -232,7 +213,6 @@ int RunBatch(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: gdx_cli batch <a.gdx> [b.gdx ...] [--threads=N] "
                  "[--intra-threads=N] [--repeat=K] [--chase=delta|naive] "
-                 "[--egd-repair=parallel|deferred|eager] "
                  "[--nre-multi-source=batched|per-source] "
                  "[--cache-load=FILE] [--cache-save=FILE] "
                  "[--report-out=FILE] [--trace-out=FILE] "

@@ -80,7 +80,7 @@ ChasedScenarioPtr ChaseCompiler::Compile(const Setting& setting,
         !(cancel != nullptr && cancel->stop_requested())) {
       EgdChaseResult egd = ChasePatternEgds(
           artifact->pattern, setting.egds, eval,
-          EgdChasePolicy::kDeferredRounds, cancel);
+          {EgdChasePolicy::kDeferredRounds, cancel});
       artifact->egd_merges = egd.merges;
       if (egd.failed) {
         artifact->failed = true;

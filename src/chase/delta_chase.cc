@@ -18,8 +18,7 @@ bool Stopped(const CancellationToken* cancel) {
 }
 
 /// Parallel collection fan-out of one chase: the shared FanOutTasks
-/// helper (common/task_fanout.h, factored out of this file for ISSUE 10's
-/// egd repair) driven by this chase's knobs.
+/// helper (common/task_fanout.h) driven by this chase's knobs.
 void RunTasks(const DeltaChaseOptions& options, size_t num_tasks,
               const std::function<void(size_t task, size_t worker)>& task) {
   TaskFanoutOptions fan;

@@ -1,10 +1,5 @@
 #include "chase/egd_chase.h"
 
-#include <cstdint>
-#include <unordered_map>
-
-#include "common/task_fanout.h"
-#include "common/union_find.h"
 #include "common/value_partition.h"
 #include "graph/cnre.h"
 #include "graph/graph_view.h"
@@ -16,8 +11,7 @@ bool Stopped(const CancellationToken* cancel) {
   return cancel != nullptr && cancel->stop_requested();
 }
 
-/// One round of egd merging over a fixed evaluation graph — the
-/// sequential reference (kDeferredRounds / kEagerRestart). Returns false
+/// One round of egd merging over a fixed evaluation graph. Returns false
 /// if the chase failed (constant clash recorded in *result). With
 /// `first_only`, stops after recording one merge (the eager policy).
 bool CollectMerges(const Graph& eval_graph,
@@ -58,185 +52,6 @@ bool CollectMerges(const Graph& eval_graph,
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// kParallelComponents (ISSUE 10 tentpole part 1)
-// ---------------------------------------------------------------------------
-
-TaskFanoutOptions FanOf(const EgdChaseOptions& options) {
-  TaskFanoutOptions fan;
-  fan.pool = options.pool;
-  fan.max_workers = options.max_workers;
-  fan.cancel = options.cancel;
-  fan.wrap_worker = options.wrap_worker;
-  return fan;
-}
-
-/// One component's independent fold state.
-struct ComponentFold {
-  ValuePartition partition;
-  /// Global (egd, match) indices of this component's successful merges.
-  std::vector<size_t> merged;
-  /// Global index of this component's first failing pair (SIZE_MAX: none).
-  size_t fail_index = SIZE_MAX;
-  std::string fail_reason;
-};
-
-enum class RoundOutcome { kMerged, kFixpoint, kFailed, kCanceled };
-
-/// One component-parallel repair round over a frozen evaluation graph.
-/// Collection, grouping, folding and the reduce replay the sequential
-/// deferred round byte for byte (see ChasePatternEgds in the header for
-/// the argument); `rewrite` applies the round's combined congruence.
-template <typename Structure>
-RoundOutcome ParallelRepairRound(Structure& structure,
-                                 const Graph& eval_graph,
-                                 const std::vector<TargetEgd>& egds,
-                                 const NreEvaluator& eval,
-                                 const EgdChaseOptions& options,
-                                 EgdChaseResult* result) {
-  const TaskFanoutOptions fan = FanOf(options);
-
-  // Parallel candidate-pair collection, one task per egd against one
-  // shared immutable CSR snapshot; pairs[j] is owned by j's task alone,
-  // and FindMatches order is deterministic, so the collected set is
-  // worker-count-invariant.
-  const GraphView view(eval_graph);
-  std::vector<std::vector<std::pair<Value, Value>>> pairs(egds.size());
-  FanOutTasks(fan, egds.size(), [&](size_t j, size_t) {
-    const TargetEgd& egd = egds[j];
-    CnreMatcher matcher(&egd.body, &view, eval);
-    matcher.FindMatches({}, [&](const CnreBinding& match) {
-      if (Stopped(options.cancel)) return false;
-      if (!match[egd.x1].has_value() || !match[egd.x2].has_value()) {
-        return true;
-      }
-      pairs[j].emplace_back(*match[egd.x1], *match[egd.x2]);
-      return true;
-    });
-  });
-  if (Stopped(options.cancel)) return RoundOutcome::kCanceled;
-
-  // Flatten into the sequential round's processing order: (egd, match).
-  std::vector<std::pair<Value, Value>> flat;
-  for (const auto& per_egd : pairs) {
-    flat.insert(flat.end(), per_egd.begin(), per_egd.end());
-  }
-  if (flat.empty()) return RoundOutcome::kFixpoint;
-
-  // Union-find over pair endpoints: two pairs land in one congruence
-  // component iff a chain of shared values connects them — so pairs in
-  // different components touch disjoint value sets and their fold
-  // decisions cannot interact.
-  std::unordered_map<uint64_t, uint32_t> value_index;
-  UnionFind uf;
-  auto index_of = [&](Value v) {
-    auto it = value_index.find(v.raw());
-    if (it != value_index.end()) return it->second;
-    const uint32_t id = uf.Add();
-    value_index.emplace(v.raw(), id);
-    return id;
-  };
-  for (const auto& pr : flat) {
-    uf.Union(index_of(pr.first), index_of(pr.second));
-  }
-
-  // Group pair indices by component, components ordered by first pair —
-  // a deterministic order for the observer and the fan-out alike.
-  std::unordered_map<uint32_t, size_t> component_slot;
-  std::vector<std::vector<size_t>> component_pairs;
-  for (size_t i = 0; i < flat.size(); ++i) {
-    const uint32_t root = uf.Find(value_index.at(flat[i].first.raw()));
-    auto [it, inserted] = component_slot.emplace(root,
-                                                 component_pairs.size());
-    if (inserted) component_pairs.emplace_back();
-    component_pairs[it->second].push_back(i);
-  }
-
-  if (options.observer) {
-    EgdRepairRoundInfo info;
-    info.round = result->rounds;
-    info.components.reserve(component_pairs.size());
-    for (const std::vector<size_t>& comp : component_pairs) {
-      std::vector<std::pair<Value, Value>> comp_values;
-      comp_values.reserve(comp.size());
-      for (size_t i : comp) comp_values.push_back(flat[i]);
-      info.components.push_back(std::move(comp_values));
-    }
-    options.observer(info);
-  }
-
-  // Independent per-component folds, fanned over the pool. Each fold
-  // replays exactly the subsequence of the sequential round's decisions
-  // that touches its component.
-  std::vector<ComponentFold> folds(component_pairs.size());
-  FanOutTasks(fan, component_pairs.size(), [&](size_t c, size_t) {
-    ComponentFold& fold = folds[c];
-    for (size_t i : component_pairs[c]) {
-      if (Stopped(options.cancel)) return;
-      const std::pair<Value, Value>& pr = flat[i];
-      if (fold.partition.Find(pr.first) == fold.partition.Find(pr.second)) {
-        continue;
-      }
-      Status st = fold.partition.Merge(pr.first, pr.second);
-      if (!st.ok()) {
-        fold.fail_index = i;
-        fold.fail_reason = st.message();
-        return;
-      }
-      fold.merged.push_back(i);
-    }
-  });
-  if (Stopped(options.cancel)) return RoundOutcome::kCanceled;
-
-  result->components += folds.size();
-  ++result->parallel_rounds;
-  if (options.stats != nullptr) {
-    options.stats->RecordEgdRepairRound(folds.size());
-  }
-
-  // Sequential reduce: the earliest failing global pair decides failure,
-  // and `merges` counts exactly the successful merges that precede it —
-  // the sequential round stops at that pair and never sees the rest.
-  size_t fail_index = SIZE_MAX;
-  size_t fail_component = SIZE_MAX;
-  for (size_t c = 0; c < folds.size(); ++c) {
-    if (folds[c].fail_index < fail_index) {
-      fail_index = folds[c].fail_index;
-      fail_component = c;
-    }
-  }
-  bool merged_any = false;
-  for (const ComponentFold& fold : folds) {
-    for (size_t i : fold.merged) {
-      if (i < fail_index) {
-        ++result->merges;
-        merged_any = true;
-      }
-    }
-  }
-  if (fail_index != SIZE_MAX) {
-    // Constant clash: stop with the structure un-rewritten, exactly
-    // where the sequential chase stops.
-    result->failed = true;
-    result->failure_reason = folds[fail_component].fail_reason;
-    return RoundOutcome::kFailed;
-  }
-  if (!merged_any) return RoundOutcome::kFixpoint;
-
-  // Rewrite through the per-component partitions: Find is
-  // order-independent (class constant, else class minimum) and every
-  // value a pair touched lives in exactly one component, so this equals
-  // the sequential round's global-partition rewrite.
-  structure.RewriteValues([&](Value v) {
-    auto it = value_index.find(v.raw());
-    if (it == value_index.end()) return v;  // never merged this round
-    const uint32_t root = uf.Find(it->second);
-    return folds[component_slot.at(root)].partition.Find(v);
-  });
-  ++result->rounds;
-  return RoundOutcome::kMerged;
-}
-
 /// Shared fixpoint driver over any structure with RewriteValues and an
 /// evaluation-graph projection.
 template <typename Structure, typename EvalGraphFn>
@@ -247,24 +62,15 @@ EgdChaseResult RunEgdChase(Structure& structure,
                            EvalGraphFn eval_graph_of) {
   EgdChaseResult result;
   const CancellationToken* cancel = options.cancel;
-  if (options.policy == EgdChasePolicy::kParallelComponents) {
-    for (;;) {
-      if (Stopped(cancel)) return result;
-      // The evaluation graph is rebuilt per round (merges change it);
-      // auto&& avoids copying when the structure *is* its own evaluation
-      // graph (ChaseGraphEgds) — the rewrite happens after the last read.
-      auto&& eval_graph = eval_graph_of(structure);
-      const RoundOutcome outcome = ParallelRepairRound(
-          structure, eval_graph, egds, eval, options, &result);
-      if (outcome != RoundOutcome::kMerged) return result;
-    }
-  }
   const bool eager = (options.policy == EgdChasePolicy::kEagerRestart);
   for (;;) {
     if (Stopped(cancel)) return result;
     ValuePartition partition;
     bool merged_any = false;
     {
+      // The evaluation graph is rebuilt per round (merges change it);
+      // auto&& avoids copying when the structure *is* its own evaluation
+      // graph (ChaseGraphEgds) — the rewrite happens after the last read.
       auto&& eval_graph = eval_graph_of(structure);
       if (!CollectMerges(eval_graph, egds, eval, partition, &result,
                          &merged_any, eager, cancel)) {
@@ -277,14 +83,6 @@ EgdChaseResult RunEgdChase(Structure& structure,
   }
 }
 
-EgdChaseOptions PolicyOnly(EgdChasePolicy policy,
-                           const CancellationToken* cancel) {
-  EgdChaseOptions options;
-  options.policy = policy;
-  options.cancel = cancel;
-  return options;
-}
-
 }  // namespace
 
 EgdChaseResult ChasePatternEgds(GraphPattern& pattern,
@@ -295,26 +93,11 @@ EgdChaseResult ChasePatternEgds(GraphPattern& pattern,
                      [](GraphPattern& p) { return p.DefiniteGraph(); });
 }
 
-EgdChaseResult ChasePatternEgds(GraphPattern& pattern,
-                                const std::vector<TargetEgd>& egds,
-                                const NreEvaluator& eval,
-                                EgdChasePolicy policy,
-                                const CancellationToken* cancel) {
-  return ChasePatternEgds(pattern, egds, eval, PolicyOnly(policy, cancel));
-}
-
 EgdChaseResult ChaseGraphEgds(Graph& g, const std::vector<TargetEgd>& egds,
                               const NreEvaluator& eval,
                               const EgdChaseOptions& options) {
   return RunEgdChase(g, egds, eval, options,
                      [](Graph& graph) -> const Graph& { return graph; });
-}
-
-EgdChaseResult ChaseGraphEgds(Graph& g, const std::vector<TargetEgd>& egds,
-                              const NreEvaluator& eval,
-                              EgdChasePolicy policy,
-                              const CancellationToken* cancel) {
-  return ChaseGraphEgds(g, egds, eval, PolicyOnly(policy, cancel));
 }
 
 }  // namespace gdx

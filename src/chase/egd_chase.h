@@ -1,13 +1,10 @@
 #ifndef GDX_CHASE_EGD_CHASE_H_
 #define GDX_CHASE_EGD_CHASE_H_
 
-#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/parallel_search.h"
-#include "common/thread_pool.h"
 #include "common/value.h"
 #include "exchange/constraints.h"
 #include "graph/graph.h"
@@ -17,22 +14,14 @@
 namespace gdx {
 
 /// Merge application policy — an ablation knob (see bench_ablations):
-///  - kDeferredRounds: collect all merges of a round against a frozen
-///    evaluation graph, apply them at once, iterate (fewer rewrites, may
-///    evaluate stale matches);
+///  - kDeferredRounds (the default): collect all merges of a round against
+///    a frozen evaluation graph, apply them at once, iterate (fewer
+///    rewrites, may evaluate stale matches);
 ///  - kEagerRestart: apply the first merge found and restart matching on
-///    the rewritten structure (freshest matches, more rewrites);
-///  - kParallelComponents (ISSUE 10 tentpole part 1, the default): the
-///    deferred-rounds fixpoint with the repair work of each round split
-///    over a ThreadPool — candidate pairs are collected per egd in
-///    parallel against the frozen evaluation graph, grouped into
-///    congruence components by a union-find over their endpoints, and
-///    each component's merges are folded independently. Byte-identical to
-///    kDeferredRounds at any worker count (see ChasePatternEgds).
-/// All three reach the same fixpoint (the merge relation is confluent —
-/// merges only grow the congruence); they differ in cost profile.
-enum class EgdChasePolicy { kDeferredRounds, kEagerRestart,
-                            kParallelComponents };
+///    the rewritten structure (freshest matches, more rewrites).
+/// Both reach the same fixpoint (the merge relation is confluent — merges
+/// only grow the congruence); they differ in cost profile.
+enum class EgdChasePolicy { kDeferredRounds, kEagerRestart };
 
 /// Outcome of an egd chase. `failed == true` is the paper's chase failure
 /// (case (i) of §5): two distinct *constants* had to be merged — a sound
@@ -43,63 +32,16 @@ struct EgdChaseResult {
   std::string failure_reason;
   size_t rounds = 0;
   size_t merges = 0;
-  /// kParallelComponents work counters (zero under the sequential
-  /// policies — they measure exactly the machinery the parallel path
-  /// adds): rounds that entered the component-parallel repair with at
-  /// least one candidate pair, and the congruence components those rounds
-  /// repaired (the fan-out width the pool saw).
-  size_t parallel_rounds = 0;
-  size_t components = 0;
 };
 
-/// Round snapshot handed to an EgdRepairObserver (the seam the
-/// skip-soundness property tests re-check component independence
-/// through): this round's candidate (x1, x2) pairs grouped by congruence
-/// component. Components are ordered by their first pair's global
-/// (egd, match) index; within a component, pairs keep that global order —
-/// exactly the order the parallel fold replays.
-struct EgdRepairRoundInfo {
-  size_t round = 0;
-  std::vector<std::vector<std::pair<Value, Value>>> components;
-};
-
-/// Per-round instrumentation hook. Called sequentially from the chasing
-/// thread before the components are repaired.
-using EgdRepairObserver = std::function<void(const EgdRepairRoundInfo&)>;
-
-/// Telemetry seam for the repair stage: implemented by the engine's
-/// EngineTelemetry over registry counters (engine.egd.*). Must be
-/// thread-safe — concurrent candidate repairs of one solve share a sink.
-class EgdRepairStatsSink {
- public:
-  virtual ~EgdRepairStatsSink() = default;
-  /// One component-parallel repair round that saw `components` components.
-  virtual void RecordEgdRepairRound(size_t components) = 0;
-};
-
-/// Execution knobs of one egd chase. All pointers are borrowed for the
-/// duration of the call. The defaults reproduce the sequential
-/// kParallelComponents run (pool == nullptr folds every component on the
-/// caller thread — same bytes out either way).
+/// Knobs of one egd chase.
 struct EgdChaseOptions {
-  EgdChasePolicy policy = EgdChasePolicy::kParallelComponents;
-  /// Pool the component fan-out borrows workers from. nullptr (or
-  /// max_workers <= 1) runs the whole chase on the caller thread.
-  ThreadPool* pool = nullptr;
-  /// Worker cap *including* the calling thread; 0 = pool size + 1.
-  size_t max_workers = 1;
-  /// Polled per round, per body match and per component task, so an abort
-  /// lands within one egd match of the request. A canceled chase returns
-  /// with neither `failed` nor a fixpoint — callers check the token and
-  /// treat the structure as unusable.
+  EgdChasePolicy policy = EgdChasePolicy::kDeferredRounds;
+  /// Borrowed; polled per round and per body match, so an abort lands
+  /// within one egd match of the request. A canceled chase returns with
+  /// neither `failed` nor a fixpoint — callers check the token and treat
+  /// the structure as unusable.
   const CancellationToken* cancel = nullptr;
-  /// Wraps every worker's pull loop (including the caller thread's), e.g.
-  /// to install thread-local per-solve metric sinks. Must invoke `body`
-  /// exactly once. Same contract as DeltaChaseOptions::wrap_worker.
-  std::function<void(size_t worker, const std::function<void()>& body)>
-      wrap_worker;
-  EgdRepairObserver observer;
-  EgdRepairStatsSink* stats = nullptr;
 };
 
 /// The paper's adapted chase (§5) applied to a graph pattern: egd bodies
@@ -108,53 +50,19 @@ struct EgdChaseOptions {
 /// matched equalities merge nulls into constants / other nulls (cases
 /// (ii)–(iii)) and fail on constant-constant merges (case (i)). Runs to
 /// fixpoint, rewriting the pattern after each round.
-///
-/// Under kParallelComponents the result is byte-identical to
-/// kDeferredRounds at any worker count, by construction:
-///   * candidate pairs are *collected* in parallel (one task per egd, each
-///     writing its own slot) against the round's frozen evaluation graph,
-///     then ordered by (egd, match) — the sequential round's exact
-///     processing order;
-///   * a union-find over pair endpoints groups the pairs into congruence
-///     components; two pairs in different components share no value, so
-///     the sequential fold's skip/merge/fail decisions for one pair depend
-///     only on its own component's earlier pairs;
-///   * each component is folded independently (fanned over the pool)
-///     through its own ValuePartition in global pair order; the folds are
-///     then reduced sequentially: the earliest failing global pair index
-///     decides failure (the structure is returned un-rewritten, exactly
-///     where the sequential chase stops) and `merges` counts exactly the
-///     successful merges that precede it;
-///   * ValuePartition::Find is order-independent (class constant, else
-///     class minimum), so rewriting through the per-component partitions
-///     equals rewriting through the sequential round's global partition.
 EgdChaseResult ChasePatternEgds(GraphPattern& pattern,
                                 const std::vector<TargetEgd>& egds,
                                 const NreEvaluator& eval,
-                                const EgdChaseOptions& options);
-
-/// Policy-only convenience overload (no pool: kParallelComponents folds
-/// sequentially, still byte-identical).
-EgdChaseResult ChasePatternEgds(
-    GraphPattern& pattern, const std::vector<TargetEgd>& egds,
-    const NreEvaluator& eval,
-    EgdChasePolicy policy = EgdChasePolicy::kDeferredRounds,
-    const CancellationToken* cancel = nullptr);
+                                const EgdChaseOptions& options = {});
 
 /// Egd chase on a concrete graph: egd bodies are evaluated with full NRE
 /// semantics over G; violated equalities merge nodes (constants preferred
 /// as representatives), failing on constant-constant merges. Used to
 /// repair instantiated candidate solutions in the bounded existence
-/// search — the hot path the component-parallel policy exists for.
+/// search.
 EgdChaseResult ChaseGraphEgds(Graph& g, const std::vector<TargetEgd>& egds,
                               const NreEvaluator& eval,
-                              const EgdChaseOptions& options);
-
-/// Policy-only convenience overload, as for ChasePatternEgds.
-EgdChaseResult ChaseGraphEgds(
-    Graph& g, const std::vector<TargetEgd>& egds, const NreEvaluator& eval,
-    EgdChasePolicy policy = EgdChasePolicy::kDeferredRounds,
-    const CancellationToken* cancel = nullptr);
+                              const EgdChaseOptions& options = {});
 
 }  // namespace gdx
 

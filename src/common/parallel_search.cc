@@ -210,7 +210,7 @@ void ParallelSearch::RunWorkers(
   {
     // The caller always participates: progress without pool slots. While
     // it does, it counts as a pool peer — a nested fan-out inside visit()
-    // (e.g. the per-candidate egd repair) must run inline rather than
+    // (a nested search or FanOutTasks) must run inline rather than
     // Submit-and-wait, because the borrowed workers can be
     // ordering-coupled to this thread's chunk (ScanAll's lead window) and
     // would then never get back to the pool queues to serve it.

@@ -38,9 +38,8 @@ class TaskLatch {
 };
 
 /// Execution knobs of one FanOutTasks call. All pointers are borrowed for
-/// the duration of the call; the shape mirrors DeltaChaseOptions (PR 9),
-/// which this helper was factored out of (ISSUE 10: the egd-repair stage
-/// fans out the same way).
+/// the duration of the call; the shape mirrors DeltaChaseOptions, which
+/// this helper was factored out of.
 struct TaskFanoutOptions {
   /// Pool the extra workers run on. nullptr (or max_workers == 1) runs
   /// every task on the caller thread.
@@ -70,13 +69,11 @@ inline void FanOutTasks(
     const std::function<void(size_t task, size_t worker)>& task) {
   size_t workers = 1;
   if (options.pool != nullptr && options.max_workers != 1 && num_tasks > 1 &&
-      // Re-entrant fan-out — a task of this very pool fanning out again
-      // (e.g. the existence search's candidate verification running the
-      // component-parallel egd repair) — must not Submit-and-wait: with
-      // every worker blocked on a sub-task latch, the sub-tasks queued
-      // behind them would never be scheduled. The caller loop below
-      // already runs every task inline; the outer fan-out keeps the pool
-      // saturated.
+      // Re-entrant fan-out — a task of this very pool fanning out again —
+      // must not Submit-and-wait: with every worker blocked on a sub-task
+      // latch, the sub-tasks queued behind them would never be scheduled.
+      // The caller loop below already runs every task inline; the outer
+      // fan-out keeps the pool saturated.
       ThreadPool::Current() != options.pool &&
       // Same rule for the *caller slot* of an enclosing search/fan-out
       // over this pool (CooperativeScope): its borrowed siblings may be

@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "engine/exchange_engine.h"
-#include "engine/thread_pool.h"
 #include "obs/histogram.h"
 
 namespace gdx {

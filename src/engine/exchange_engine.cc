@@ -24,20 +24,7 @@ const char* VerdictName(ExistenceVerdict v) {
 
 ExistenceOptions EngineOptions::ToExistenceOptions() const {
   ExistenceOptions out;
-  switch (existence_policy) {
-    case ExistencePolicy::kAuto:
-      out.strategy = ExistenceStrategy::kAuto;
-      break;
-    case ExistencePolicy::kChaseRefute:
-      out.strategy = ExistenceStrategy::kChaseRefute;
-      break;
-    case ExistencePolicy::kBoundedSearch:
-      out.strategy = ExistenceStrategy::kBoundedSearch;
-      break;
-    case ExistencePolicy::kSatBacked:
-      out.strategy = ExistenceStrategy::kSatBacked;
-      break;
-  }
+  out.strategy = existence_policy;
   out.instantiation = instantiation;
   out.max_candidates = max_candidates;
   out.target_tgd_max_rounds = target_tgd_max_rounds;
@@ -92,7 +79,9 @@ std::string ExchangeOutcome::ToString(const Universe& universe,
 }
 
 ExchangeEngine::ExchangeEngine(EngineOptions options)
-    : options_(options), cache_(new EngineCache(options.cache)) {
+    : options_(options),
+      cache_(new EngineCache(options.cache)),
+      chase_flights_(new ChaseFlights) {
   if (options_.evaluator == EvaluatorKind::kNaive) {
     base_eval_.reset(new NaiveNreEvaluator);
   } else {
@@ -156,7 +145,6 @@ ExistenceOptions ExchangeEngine::MakeExistenceOptions(
   out.intra_solve_threads = intra_solve_threads();
   out.intra_pool = intra_pool_.get();
   out.cancel = cancel;
-  out.egd_stats = telemetry_.get();
   // Intra-solve workers serve *this* solve: route their cache traffic to
   // its sink (exact per-solve attribution under concurrent batches) and
   // install the solve's cancellation token for evaluator internals — the
@@ -324,11 +312,32 @@ ChasedScenarioPtr ExchangeEngine::StageChase(const Scenario& scenario,
                                              const CancellationToken* cancel)
     const {
   std::string key;
+  std::promise<void> flight;  // set once this solve's compile is over
   if (options_.enable_cache) {
     GDX_TRACE_SPAN("cache.chase_lookup", "cache");
     key = ChaseCompiler::Key(scenario.setting, *scenario.instance,
                              *scenario.universe);
-    if (ChasedScenarioPtr hit = cache_->LookupChased(key)) {
+    ChasedScenarioPtr hit;
+    for (;;) {
+      std::shared_future<void> running;
+      {
+        std::lock_guard<std::mutex> lock(chase_flights_->mu);
+        auto it = chase_flights_->running.find(key);
+        if (it == chase_flights_->running.end()) {
+          hit = cache_->LookupChased(key);
+          if (hit == nullptr) {
+            chase_flights_->running.emplace(key,
+                                            flight.get_future().share());
+          }
+          break;
+        }
+        running = it->second;
+      }
+      // Another solve is compiling this content; look again once it is
+      // done (a miss only if its compile was canceled).
+      running.wait();
+    }
+    if (hit != nullptr) {
       // The key pins the universe's base null count, so the artifact's
       // arena drops in id-for-id; the chase itself is skipped and the
       // work counters in `m` stay 0 for this solve.
@@ -340,9 +349,7 @@ ChasedScenarioPtr ExchangeEngine::StageChase(const Scenario& scenario,
   {
     GDX_TRACE_SPAN("chase.compile", "engine");
     ChaseCompileOptions compile_options;
-    compile_options.algorithm = options_.chase_policy == ChasePolicy::kNaive
-                                    ? ChaseAlgorithm::kNaive
-                                    : ChaseAlgorithm::kDelta;
+    compile_options.algorithm = options_.chase_policy;
     compile_options.pool = intra_pool_.get();
     compile_options.max_workers = intra_solve_threads();
     compile_options.cancel = cancel;
@@ -367,8 +374,13 @@ ChasedScenarioPtr ExchangeEngine::StageChase(const Scenario& scenario,
   m.chase_strata = compiled->delta.strata;
   // A canceled artifact is truncated mid-chase — never published to the
   // memo, where it would poison every future solve with the same key.
-  if (options_.enable_cache && !compiled->canceled) {
-    cache_->StoreChased(key, compiled);
+  if (options_.enable_cache) {
+    if (!compiled->canceled) cache_->StoreChased(key, compiled);
+    {
+      std::lock_guard<std::mutex> lock(chase_flights_->mu);
+      chase_flights_->running.erase(key);
+    }
+    flight.set_value();
   }
   return compiled;
 }

@@ -1,10 +1,14 @@
 #ifndef GDX_ENGINE_EXCHANGE_ENGINE_H_
 #define GDX_ENGINE_EXCHANGE_ENGINE_H_
 
+#include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
+#include "chase/chase_compiler.h"
 #include "common/status.h"
 #include "engine/cache.h"
 #include "engine/metrics.h"
@@ -18,29 +22,6 @@
 
 namespace gdx {
 
-/// Existence-decision policy of the engine (mirrors ExistenceStrategy; see
-/// solver/existence.h for the semantics of each). Named ChasePolicy
-/// through PR 8; renamed when ChasePolicy came to mean the chase
-/// *algorithm* (ISSUE 9).
-enum class ExistencePolicy {
-  kAuto,           // pick per setting (default)
-  kChaseRefute,    // adapted chase + canonical instantiation only
-  kBoundedSearch,  // complete witness-combination enumeration
-  kSatBacked,      // flat-fragment CNF + DPLL, bounded-search fallback
-};
-
-/// Which algorithm stage 1 (the chase) runs (ISSUE 9 tentpole). Both are
-/// byte-identical in every output — kNaive is the differential reference
-/// the delta_chase_test battery measures kDelta against, mirroring how
-/// PR 3 kept the dense NRE evaluator.
-enum class ChasePolicy {
-  /// Semi-naive delta rounds with reliance-based rule skipping; rules fan
-  /// out over the intra-solve pool (see chase/delta_chase.h).
-  kDelta,
-  /// Legacy full-round chase, always sequential.
-  kNaive,
-};
-
 /// Which NRE evaluation engine the pipeline runs on.
 enum class EvaluatorKind {
   kAutomaton,  // product-automaton BFS (default, fastest)
@@ -49,15 +30,15 @@ enum class EvaluatorKind {
 
 /// Typed knobs of the whole solve pipeline.
 struct EngineOptions {
-  ExistencePolicy existence_policy = ExistencePolicy::kAuto;
-  ChasePolicy chase_policy = ChasePolicy::kDelta;
+  /// Existence-decision strategy (see solver/existence.h).
+  ExistenceStrategy existence_policy = ExistenceStrategy::kAuto;
+  /// Chase algorithm of stage 1 (see chase/chase_compiler.h): kDelta, or
+  /// the byte-identical kNaive reference.
+  ChaseAlgorithm chase_policy = ChaseAlgorithm::kDelta;
   EvaluatorKind evaluator = EvaluatorKind::kAutomaton;
 
-  /// Egd-repair policy of the existence stage's candidate repairs
-  /// (ISSUE 10 tentpole part 1): component-parallel over the intra-solve
-  /// pool by default; the sequential policies are byte-identical ablation
-  /// references (`gdx_cli --egd-repair`).
-  EgdChasePolicy egd_policy = EgdChasePolicy::kParallelComponents;
+  /// Egd-repair policy of the existence stage's candidate repairs.
+  EgdChasePolicy egd_policy = EgdChasePolicy::kDeferredRounds;
   /// Multi-source strategy of the automaton evaluator (ISSUE 10 tentpole
   /// part 2): 64-way bit-parallel BFS by default; kPerSource pins the
   /// byte-identical per-source reference loop. Ignored by kNaive.
@@ -225,7 +206,7 @@ class ExchangeEngine {
   /// and the memo's hit counters tick instead), compiled and published on
   /// a miss. Either way the scenario's universe ends up with exactly the
   /// nulls a fresh chase would have created. Compilation runs the
-  /// configured ChasePolicy; under kDelta its rule fan-out borrows the
+  /// configured ChaseAlgorithm; under kDelta its rule fan-out borrows the
   /// intra pool, routing worker cache traffic to `sink` (exact per-solve
   /// attribution, as the existence stage's workers do).
   ChasedScenarioPtr StageChase(const Scenario& scenario, Metrics& m,
@@ -251,6 +232,15 @@ class ExchangeEngine {
   /// resolves to 1. Mutable state lives inside ThreadPool (internally
   /// synchronized); Solve stays const.
   std::unique_ptr<ThreadPool> intra_pool_;
+  /// Chase compiles in progress, by chase key. Concurrent solves of one
+  /// content compile it once: the others wait on the future, then hit
+  /// the chased memo — so it counts one miss per distinct content
+  /// whatever the timing.
+  struct ChaseFlights {
+    std::mutex mu;
+    std::unordered_map<std::string, std::shared_future<void>> running;
+  };
+  std::unique_ptr<ChaseFlights> chase_flights_;
 };
 
 }  // namespace gdx

@@ -31,7 +31,7 @@ struct Metrics {
 
   // Delta chase work (ISSUE 9): rounds that joined rules, (rule, round)
   // skip events the reliance analysis saved, and reliance-graph strata.
-  // Zero under ChasePolicy::kNaive and on chased-memo hits (the chase did
+  // Zero under ChaseAlgorithm::kNaive and on chased-memo hits (the chase did
   // not run), like the chase counters above.
   size_t chase_delta_rounds = 0;
   size_t chase_skipped_rules = 0;

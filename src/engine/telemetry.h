@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "chase/egd_chase.h"
 #include "common/thread_pool.h"
 #include "engine/metrics.h"
 #include "graph/nre_eval.h"
@@ -24,13 +23,11 @@ namespace gdx {
 /// stage-latency histograms, `engine.work.*` chase/search counters,
 /// `engine.chase.*` delta-chase counters (ISSUE 9),
 /// `engine.cache.<memo>.<event>` cache counters, `pool.<which>.*`
-/// thread-pool counters/gauges, and the ISSUE 10 hot-path counters:
-/// `engine.egd.{parallel_rounds,components}` from the component-parallel
-/// repair (the sinks below — registry metrics are thread-safe, so
-/// concurrent candidate repairs record directly) and
-/// `engine.nre.{batch_passes,sources_per_pass}` from the bit-parallel
-/// multi-source BFS.
-class EngineTelemetry : public EgdRepairStatsSink, public NreEvalStatsSink {
+/// thread-pool counters/gauges, and `engine.nre.{batch_passes,
+/// sources_per_pass}` from the bit-parallel multi-source BFS (the sink
+/// below — registry metrics are thread-safe, so concurrent evaluations
+/// record directly).
+class EngineTelemetry : public NreEvalStatsSink {
  public:
   explicit EngineTelemetry(obs::StatsRegistry* registry)
       : solve_count_(registry->GetCounter("engine.solve.count")),
@@ -67,18 +64,9 @@ class EngineTelemetry : public EgdRepairStatsSink, public NreEvalStatsSink {
         intra_executed_(registry->GetCounter("pool.intra.executed")),
         intra_steals_(registry->GetCounter("pool.intra.steals")),
         intra_queue_depth_(registry->GetGauge("pool.intra.queue_depth")),
-        egd_parallel_rounds_(
-            registry->GetCounter("engine.egd.parallel_rounds")),
-        egd_components_(registry->GetCounter("engine.egd.components")),
         nre_batch_passes_(registry->GetCounter("engine.nre.batch_passes")),
         nre_sources_per_pass_(
             registry->GetHistogram("engine.nre.sources_per_pass")) {}
-
-  /// EgdRepairStatsSink: one component-parallel repair round (ISSUE 10).
-  void RecordEgdRepairRound(size_t components) override {
-    egd_parallel_rounds_->Increment();
-    egd_components_->Add(components);
-  }
 
   /// NreEvalStatsSink: one batched multi-source BFS pass (ISSUE 10).
   void RecordNreBatchPass(size_t sources) override {
@@ -161,8 +149,6 @@ class EngineTelemetry : public EgdRepairStatsSink, public NreEvalStatsSink {
   obs::Counter* intra_executed_;
   obs::Counter* intra_steals_;
   obs::Gauge* intra_queue_depth_;
-  obs::Counter* egd_parallel_rounds_;
-  obs::Counter* egd_components_;
   obs::Counter* nre_batch_passes_;
   obs::Histogram* nre_sources_per_pass_;
   /// Delta tracking for PublishIntraPool; mutable because publishing is

@@ -150,8 +150,8 @@ class Graph {
       label_index_;
 
   /// A derived value filled on first use by const readers. Readers on
-  /// several threads may share one graph (the parallel egd repair and the
-  /// delta chase fan out over a frozen graph), so the fill is published
+  /// several threads may share one graph (the delta chase fans out over a
+  /// frozen graph), so the fill is published
   /// under a lock and read through an acquire flag. Mutators reset it;
   /// they already require exclusive access.
   template <typename T>

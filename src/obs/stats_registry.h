@@ -19,7 +19,7 @@ namespace obs {
 /// the normative description of that schema; scripts/check_docs.py fails
 /// CI when the documented version and this constant drift apart (same
 /// contract as kFormatVersion / docs/FORMAT.md).
-inline constexpr uint32_t kTelemetrySchemaVersion = 1;
+inline constexpr uint32_t kTelemetrySchemaVersion = 2;
 
 /// Number of independent recording shards per metric. Each recording
 /// thread is pinned to one shard (round-robin at first touch), so under

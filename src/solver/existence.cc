@@ -67,16 +67,7 @@ std::optional<Graph> ExistenceSolver::RepairAndVerify(
   // BFS polls this thread-local token per level-synchronous round, so an
   // abort lands inside one long NRE evaluation, not after it.
   ScopedEvalCancellation eval_cancel(cancel);
-  // The repair hot path (ISSUE 10 tentpole part 1): component-parallel by
-  // default, borrowing the same pool and worker scope as the surrounding
-  // witness search — byte-identical output at any worker count.
-  EgdChaseOptions egd_options;
-  egd_options.policy = options_.egd_policy;
-  egd_options.pool = options_.intra_pool;
-  egd_options.max_workers = options_.intra_solve_threads;
-  egd_options.cancel = cancel;
-  egd_options.wrap_worker = options_.worker_scope;
-  egd_options.stats = options_.egd_stats;
+  const EgdChaseOptions egd_options{options_.egd_policy, cancel};
   if (!setting.egds.empty()) {
     EgdChaseResult egd =
         ChaseGraphEgds(candidate, setting.egds, *eval_, egd_options);

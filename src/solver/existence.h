@@ -106,15 +106,8 @@ struct ExistenceOptions {
   /// Exceeding it yields kUnknown with budget_exhausted. A nonzero budget
   /// disables the cube deck so it stays a whole-call latency bound.
   size_t sat_max_decisions = 0;
-  /// Egd-repair policy of RepairAndVerify's candidate repairs (ISSUE 10
-  /// tentpole part 1). The default component-parallel policy fans each
-  /// repair round's congruence components over intra_pool (when set) and
-  /// is byte-identical to kDeferredRounds at any worker count; the
-  /// sequential policies remain as differential references.
-  EgdChasePolicy egd_policy = EgdChasePolicy::kParallelComponents;
-  /// Telemetry sink for component-parallel repair rounds (engine.egd.*).
-  /// Borrowed; nullptr disables recording.
-  EgdRepairStatsSink* egd_stats = nullptr;
+  /// Egd-repair policy of RepairAndVerify's candidate repairs.
+  EgdChasePolicy egd_policy = EgdChasePolicy::kDeferredRounds;
   /// Optional cooperative hard abort: when it fires the decision returns
   /// kUnknown ("search cancelled") instead of a complete answer.
   const CancellationToken* cancel = nullptr;

@@ -103,7 +103,7 @@ TEST(CancelTest, FirstStopCauseWins) {
 
 TEST(CancelTest, CanceledSolveIsTypedAndLeavesNoTornCacheEntry) {
   EngineOptions options = PaperOptions();
-  options.existence_policy = ExistencePolicy::kBoundedSearch;
+  options.existence_policy = ExistenceStrategy::kBoundedSearch;
   ExchangeEngine engine(options);
   Scenario s = MakeExample22Scenario(FlightConstraintMode::kEgd);
   CancellationToken token;

@@ -3,14 +3,17 @@
 // same base, and replay at a shifted base), engine outcomes must be
 // byte-identical whether the chased memo serves a solve or the chase runs
 // fresh — at 1, 2 and 8 intra-solve workers — the chased memo must respect
-// its LRU cap, the CHSE snapshot section must round-trip artifacts and
-// reject every corruption, and Universe copies must share one
-// copy-on-write ConstantTable instead of deep-copying constant spellings.
+// its LRU cap and compile each content once under concurrent solves, the
+// CHSE snapshot section must round-trip artifacts and reject every
+// corruption, and Universe copies must share one copy-on-write
+// ConstantTable instead of deep-copying constant spellings.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chase/chase_compiler.h"
@@ -342,6 +345,39 @@ TEST(ChasedMemoTest, EngineHonorsChasedCapAndStaysCorrect) {
   }
   EXPECT_LE(capped.cache().sizes().chased_entries, 2u);
   EXPECT_GT(capped.cache().stats().chase_evictions, 0u);
+}
+
+TEST(ChasedMemoTest, ConcurrentSolvesOfOneContentCompileOnce) {
+  // Solves of one content that overlap in time share a single chase
+  // compile: exactly one chased-memo miss per engine, whatever the timing.
+  constexpr size_t kThreads = 8;
+  for (int round = 0; round < 10; ++round) {
+    ExchangeEngine engine(TestEngineOptions());
+    std::vector<Scenario> scenarios;
+    for (size_t t = 0; t < kThreads; ++t) {
+      scenarios.push_back(MakeExample22Scenario(FlightConstraintMode::kEgd));
+    }
+    std::vector<std::string> outputs(kThreads);
+    std::atomic<size_t> arrived{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ++arrived;
+        while (arrived.load() < kThreads) std::this_thread::yield();
+        Result<ExchangeOutcome> outcome = engine.Solve(scenarios[t]);
+        outputs[t] = outcome.ok() ? outcome->ToString(*scenarios[t].universe,
+                                                      *scenarios[t].alphabet)
+                                  : outcome.status().ToString();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(outputs[t], outputs[0]) << "round " << round;
+    }
+    const CacheStats stats = engine.cache().stats();
+    EXPECT_EQ(stats.chase_misses, 1u) << "round " << round;
+    EXPECT_EQ(stats.chase_hits, kThreads - 1) << "round " << round;
+  }
 }
 
 // --- CHSE persistence -------------------------------------------------------

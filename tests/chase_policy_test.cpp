@@ -29,9 +29,9 @@ TEST(EgdChasePolicyTest, EagerAndDeferredReachSameFixpoint) {
       ChaseToPattern(*s.instance, s.setting.st_tgds, *s.universe);
   GraphPattern eager = deferred;
   EgdChaseResult r1 = ChasePatternEgds(deferred, s.setting.egds, eval,
-                                       EgdChasePolicy::kDeferredRounds);
+                                       {EgdChasePolicy::kDeferredRounds});
   EgdChaseResult r2 = ChasePatternEgds(eager, s.setting.egds, eval,
-                                       EgdChasePolicy::kEagerRestart);
+                                       {EgdChasePolicy::kEagerRestart});
   EXPECT_FALSE(r1.failed);
   EXPECT_FALSE(r2.failed);
   EXPECT_EQ(r1.merges, r2.merges);
@@ -50,9 +50,9 @@ TEST(EgdChasePolicyTest, PoliciesAgreeOnGeneratedWorkloads) {
         ChaseToPattern(*s.instance, s.setting.st_tgds, *s.universe);
     GraphPattern b = a;
     EgdChaseResult ra = ChasePatternEgds(a, s.setting.egds, eval,
-                                         EgdChasePolicy::kDeferredRounds);
+                                         {EgdChasePolicy::kDeferredRounds});
     EgdChaseResult rb = ChasePatternEgds(b, s.setting.egds, eval,
-                                         EgdChasePolicy::kEagerRestart);
+                                         {EgdChasePolicy::kEagerRestart});
     EXPECT_EQ(ra.failed, rb.failed) << "seed " << seed;
     if (!ra.failed) {
       EXPECT_EQ(a.num_nodes(), b.num_nodes()) << "seed " << seed;
@@ -76,6 +76,87 @@ TEST(EgdChasePolicyTest, EgdOrderDoesNotChangeFixpoint) {
   ChasePatternEgds(b, backward, eval);
   EXPECT_EQ(a.num_nodes(), b.num_nodes());
   EXPECT_EQ(a.num_edges(), b.num_edges());
+}
+
+/// Both merge policies × both entry points (pattern chase, concrete-graph
+/// chase over the pattern's definite subgraph).
+constexpr EgdChasePolicy kPolicies[] = {EgdChasePolicy::kDeferredRounds,
+                                        EgdChasePolicy::kEagerRestart};
+
+TEST(EgdChasePolicyTest, ConstantClashFailsWithoutRewriting) {
+  // Two distinct constants forced equal: every policy and entry point
+  // fails with the same reason and leaves the structure un-rewritten.
+  Result<Scenario> s = ParseScenario(R"(
+    relation R/2
+    fact R(a, c1)
+    fact R(a, c2)
+    fact R(b, c2)
+    fact R(b, c3)
+    stgd R(x, y) -> (x, e, y)
+    egd (x1, e, x2), (x1, e, x3) -> x2 = x3
+  )");
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  const GraphPattern chased =
+      ChaseToPattern(*s->instance, s->setting.st_tgds, *s->universe);
+  const std::string pattern_before = PatternSignature(chased, *s);
+  const std::string graph_before =
+      chased.DefiniteGraph().ToString(*s->universe, *s->alphabet);
+
+  std::string reason;
+  for (EgdChasePolicy policy : kPolicies) {
+    const int p = static_cast<int>(policy);
+    GraphPattern pattern = chased;
+    const EgdChaseResult pattern_result =
+        ChasePatternEgds(pattern, s->setting.egds, eval, {policy});
+    EXPECT_TRUE(pattern_result.failed) << "policy " << p;
+    EXPECT_EQ(pattern_result.rounds, 0u) << "policy " << p;
+    EXPECT_EQ(PatternSignature(pattern, *s), pattern_before) << "policy " << p;
+
+    Graph g = chased.DefiniteGraph();
+    const EgdChaseResult graph_result =
+        ChaseGraphEgds(g, s->setting.egds, eval, {policy});
+    EXPECT_TRUE(graph_result.failed) << "policy " << p;
+    EXPECT_EQ(graph_result.rounds, 0u) << "policy " << p;
+    EXPECT_EQ(graph_result.failure_reason, pattern_result.failure_reason)
+        << "policy " << p;
+    EXPECT_EQ(g.ToString(*s->universe, *s->alphabet), graph_before)
+        << "policy " << p;
+
+    if (reason.empty()) reason = pattern_result.failure_reason;
+    EXPECT_EQ(pattern_result.failure_reason, reason) << "policy " << p;
+  }
+  EXPECT_FALSE(reason.empty());
+}
+
+TEST(EgdChasePolicyTest, PreFiredTokenAbortsWithoutRewriting) {
+  Scenario s = MakeExample22Scenario(FlightConstraintMode::kEgd);
+  const GraphPattern chased =
+      ChaseToPattern(*s.instance, s.setting.st_tgds, *s.universe);
+  const std::string pattern_before = PatternSignature(chased, s);
+  const std::string graph_before =
+      chased.DefiniteGraph().ToString(*s.universe, *s.alphabet);
+  CancellationToken token;
+  token.RequestStop();
+
+  for (EgdChasePolicy policy : kPolicies) {
+    const int p = static_cast<int>(policy);
+    GraphPattern pattern = chased;
+    const EgdChaseResult pattern_result =
+        ChasePatternEgds(pattern, s.setting.egds, eval, {policy, &token});
+    EXPECT_FALSE(pattern_result.failed) << "policy " << p;
+    EXPECT_EQ(pattern_result.rounds, 0u) << "policy " << p;
+    EXPECT_EQ(pattern_result.merges, 0u) << "policy " << p;
+    EXPECT_EQ(PatternSignature(pattern, s), pattern_before) << "policy " << p;
+
+    Graph g = chased.DefiniteGraph();
+    const EgdChaseResult graph_result =
+        ChaseGraphEgds(g, s.setting.egds, eval, {policy, &token});
+    EXPECT_FALSE(graph_result.failed) << "policy " << p;
+    EXPECT_EQ(graph_result.rounds, 0u) << "policy " << p;
+    EXPECT_EQ(graph_result.merges, 0u) << "policy " << p;
+    EXPECT_EQ(g.ToString(*s.universe, *s.alphabet), graph_before)
+        << "policy " << p;
+  }
 }
 
 TEST(PatternSaturationTest, SameAsEdgesAddedToPattern) {

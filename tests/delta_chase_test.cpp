@@ -5,7 +5,7 @@
 // 1, 2 and 8 workers and compared field-for-field against
 // ChaseAlgorithm::kNaive: pattern bytes, PatternChaseStats, failure
 // flag/reason, merge counts and null arenas. Engine-level solves compare
-// ExchangeOutcome::ToString across ChasePolicy values, and the per-round
+// ExchangeOutcome::ToString across ChaseAlgorithm values, and the per-round
 // observer re-checks reliance skipping soundness: a skipped live egd's
 // matches bind only already-equal values; a dead egd never matches.
 #include <gtest/gtest.h>
@@ -314,7 +314,7 @@ TEST(DeltaChaseTest, EgdFreeScenarioIsSeedRoundOnly) {
 
 // --- engine-level differential ----------------------------------------------
 
-EngineOptions SmallEngineOptions(ChasePolicy policy, size_t workers) {
+EngineOptions SmallEngineOptions(ChaseAlgorithm policy, size_t workers) {
   EngineOptions options;
   options.chase_policy = policy;
   options.intra_solve_threads = workers;
@@ -326,13 +326,13 @@ EngineOptions SmallEngineOptions(ChasePolicy policy, size_t workers) {
 
 TEST(DeltaChaseEngineTest, OutcomesByteIdenticalAcrossPoliciesAndWorkers) {
   obs::StatsRegistry registry;
-  EngineOptions delta_options = SmallEngineOptions(ChasePolicy::kDelta, 8);
+  EngineOptions delta_options = SmallEngineOptions(ChaseAlgorithm::kDelta, 8);
   delta_options.stats = &registry;
   ExchangeEngine naive_engine(
-      SmallEngineOptions(ChasePolicy::kNaive, 1));
+      SmallEngineOptions(ChaseAlgorithm::kNaive, 1));
   ExchangeEngine delta_engine(delta_options);
   ExchangeEngine delta_seq_engine(
-      SmallEngineOptions(ChasePolicy::kDelta, 1));
+      SmallEngineOptions(ChaseAlgorithm::kDelta, 1));
 
   Metrics naive_total, delta_total;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
@@ -377,7 +377,7 @@ TEST(DeltaChaseEngineTest, OutcomesByteIdenticalAcrossPoliciesAndWorkers) {
 }
 
 TEST(DeltaChaseEngineTest, ChasedMemoHitReportsZeroDeltaCounters) {
-  ExchangeEngine engine(SmallEngineOptions(ChasePolicy::kDelta, 1));
+  ExchangeEngine engine(SmallEngineOptions(ChaseAlgorithm::kDelta, 1));
   const std::string text = RandomScenarioText(3);
   Scenario first = Parse(text);
   Scenario second = Parse(text);

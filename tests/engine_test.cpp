@@ -10,9 +10,9 @@
 
 #include "chase/egd_chase.h"
 #include "chase/pattern_chase.h"
+#include "common/thread_pool.h"
 #include "engine/batch_executor.h"
 #include "engine/exchange_engine.h"
-#include "engine/thread_pool.h"
 #include "solver/certain.h"
 #include "solver/existence.h"
 #include "workload/flights.h"
@@ -114,7 +114,7 @@ TEST(ExchangeEngineTest, Example22SameAsEndToEnd) {
 
 TEST(ExchangeEngineTest, Example52ChaseSucceedsButNoSolution) {
   EngineOptions options = PaperOptions();
-  options.existence_policy = ExistencePolicy::kBoundedSearch;
+  options.existence_policy = ExistenceStrategy::kBoundedSearch;
   ExchangeEngine engine(options);
   Scenario s = MakeExample52Scenario();
   Result<ExchangeOutcome> outcome = engine.Solve(s);

@@ -9,11 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel_search.h"
 #include "common/rng.h"
 #include "engine/batch_executor.h"
 #include "engine/cache.h"
 #include "engine/exchange_engine.h"
-#include "engine/parallel_search.h"
 #include "reduction/sat_encoding.h"
 #include "sat/gen.h"
 #include "solver/existence.h"
@@ -414,7 +414,7 @@ TEST(IntraSolveTest, EngineHonorsCacheCapAndStaysCorrect) {
 
 TEST(IntraSolveTest, CancelledSolveReportsUnknown) {
   EngineOptions options = PaperOptions();
-  options.existence_policy = ExistencePolicy::kBoundedSearch;
+  options.existence_policy = ExistenceStrategy::kBoundedSearch;
   options.intra_solve_threads = 2;
   ExchangeEngine engine(options);
   Scenario s = MakeExample22Scenario(FlightConstraintMode::kEgd);

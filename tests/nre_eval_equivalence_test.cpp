@@ -449,6 +449,61 @@ TEST(BatchedVsPerSourceTest, PreFiredTokenTruncatesBatchedEvaluation) {
   }
 }
 
+/// Engine-level byte identity of the multi-source strategies: on the egd
+/// scenarios, every (MultiSourceMode × {1, 2, 8} intra-solve workers)
+/// solve renders exactly the per-source, one-worker reference output.
+TEST(BatchedVsPerSourceTest, EngineOutputsIdenticalAcrossModesAndWorkers) {
+  auto solve_all = [](MultiSourceMode mode,
+                      size_t workers) -> std::vector<std::string> {
+    EngineOptions options;
+    // Keep the witness-choice space small: an egd-unsatisfiable seed makes
+    // the existence search exhaust *every* rank (no early exit), so at
+    // 3 witnesses/edge a single solve can take minutes. 2^n with n small
+    // still engages the fan-out while keeping six full sweeps cheap.
+    options.instantiation.max_witnesses_per_edge = 2;
+    options.max_solutions = 8;
+    options.intra_solve_threads = workers;
+    options.nre_multi_source = mode;
+    ExchangeEngine engine(options);
+    std::vector<Scenario> scenarios;
+    scenarios.push_back(MakeExample22Scenario(FlightConstraintMode::kEgd));
+    scenarios.push_back(MakeExample52Scenario());
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      FlightWorkloadParams params;
+      params.seed = seed;
+      params.num_cities = 4;
+      params.num_flights = 4;
+      params.num_hotels = 2;
+      params.mode = FlightConstraintMode::kEgd;
+      scenarios.push_back(MakeFlightScenario(params));
+    }
+    std::vector<std::string> out;
+    for (Scenario& s : scenarios) {
+      Result<ExchangeOutcome> outcome = engine.Solve(s);
+      out.push_back(outcome.ok()
+                        ? outcome->ToString(*s.universe, *s.alphabet)
+                        : outcome.status().ToString());
+    }
+    return out;
+  };
+
+  const std::vector<std::string> baseline =
+      solve_all(MultiSourceMode::kPerSource, 1);
+  for (MultiSourceMode mode :
+       {MultiSourceMode::kPerSource, MultiSourceMode::kBatched}) {
+    for (size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
+      if (mode == MultiSourceMode::kPerSource && workers == 1) continue;
+      const std::vector<std::string> got = solve_all(mode, workers);
+      ASSERT_EQ(got.size(), baseline.size());
+      for (size_t i = 0; i < baseline.size(); ++i) {
+        EXPECT_EQ(got[i], baseline[i])
+            << "scenario " << i << " diverged at mode="
+            << static_cast<int>(mode) << " workers=" << workers;
+      }
+    }
+  }
+}
+
 // --- Local compile memo LRU (ISSUE 10 satellite) ---------------------------
 
 TEST(LocalMemoLruTest, HottestEntrySurvivesCapPressure) {

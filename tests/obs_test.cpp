@@ -13,9 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "engine/batch_executor.h"
 #include "engine/exchange_engine.h"
-#include "engine/thread_pool.h"
 #include "obs/histogram.h"
 #include "obs/stats_registry.h"
 #include "obs/trace.h"

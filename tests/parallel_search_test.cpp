@@ -10,8 +10,8 @@
 #include <set>
 #include <vector>
 
+#include "common/parallel_search.h"
 #include "common/task_fanout.h"
-#include "engine/parallel_search.h"
 
 namespace gdx {
 namespace {

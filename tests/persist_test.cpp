@@ -586,7 +586,7 @@ TEST(CorruptionTest, GarbageAndEmptyFilesRejected) {
 // --- reliance persistence (RELI, ISSUE 9) ----------------------------------
 
 /// Warm state whose chased memo is populated — solving under the default
-/// ChasePolicy::kDelta attaches a reliance analysis to every artifact.
+/// ChaseAlgorithm::kDelta attaches a reliance analysis to every artifact.
 WarmState MakeRelianceWarmState() {
   ExchangeEngine engine(TestEngineOptions());
   std::vector<Scenario> scenarios = MakeScenarios();
